@@ -152,6 +152,22 @@ const GoldenDigest kGolden[] = {
      {1915, 187, 0, 0, 0, 0x3b039c24a2e48432ULL},
      187,
      327},
+    // Fault entries, recorded before the star simulation phases of the EDF
+    // and TT schemes were merged: the structural segment (switch reboot with
+    // wire re-registration and slot-grid realignment, node crash with the
+    // stale-teardown storm) and a windowed fault under TT gating.
+    {"fault-switch-reboot.json",
+     {407, 43, 0, 0, 0, 0xb51705a4ff95e2b6ULL},
+     43,
+     277},
+    {"fault-node-crash.json",
+     {264, 28, 0, 0, 0, 0x903ff46b3189cd2dULL},
+     28,
+     275},
+    {"tt-fault-frame-loss.json",
+     {564, 38, 0, 0, 0, 0x503c6ec4e0940d41ULL},
+     38,
+     274},
 };
 
 TEST(SimDeterminism, GoldenDigestsMatchSeedKernel) {
