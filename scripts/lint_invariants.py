@@ -11,8 +11,6 @@ Token-level static checks for invariants the compiler cannot express:
                          (`MpscQueue`, the SPSC cut-link channel, the
                          admission-service dispatcher, the shard-worker
                          feasibility path)
-  deprecated-release     no new call sites of the `[[deprecated]]`
-                         bool-returning `release_ok` wrappers
   nodiscard-expected     every `Expected`-returning public API declaration in
                          a header is `[[nodiscard]]`
 
@@ -31,7 +29,7 @@ Exit status: 0 clean, 1 findings, 2 usage/config error.
 
 Usage:
   lint_invariants.py [--root DIR] [--json OUT]
-  lint_invariants.py --file PATH --profile {hot-path,lock-free,deprecated-release,nodiscard} [--json OUT]
+  lint_invariants.py --file PATH --profile {hot-path,lock-free,nodiscard} [--json OUT]
 
 The `--file/--profile` form checks one file against one rule family as if it
 were in that family's configured file set; the negative lint tests under
@@ -79,17 +77,6 @@ LOCK_FREE_FILES = [
     "src/core/parallel_admission.cpp",
 ]
 
-# Headers that *declare* the deprecated wrappers are exempt from the
-# call-site rule; everywhere else `release_ok` needs a waiver.
-DEPRECATED_DECL_FILES = [
-    "src/core/admission.hpp",
-    "src/core/multihop.hpp",
-    "src/core/parallel_admission.hpp",
-]
-
-# Directories scanned for deprecated-release call sites.
-DEPRECATED_SCAN_DIRS = ["src", "tests", "bench", "examples"]
-
 # Headers scanned for the nodiscard rule (public API surface).
 NODISCARD_SCAN_DIRS = ["src"]
 
@@ -101,7 +88,6 @@ SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 PROFILES = {
     "hot-path": ["hot-path-alloc", "hot-path-type-erasure", "hot-path-virtual"],
     "lock-free": ["lock-free-path"],
-    "deprecated-release": ["deprecated-release"],
     "nodiscard": ["nodiscard-expected"],
 }
 
@@ -325,17 +311,6 @@ def rule_lock_free_path(src: SourceFile, report: Report):
             )
 
 
-def rule_deprecated_release(src: SourceFile, report: Report):
-    for lineno, _ in token_matches(r"(?<![\w])release_ok\s*\(", src.code_lines):
-        report.add(
-            src,
-            "deprecated-release",
-            lineno,
-            "call to [[deprecated]] bool-returning `release_ok`; use "
-            "`release()` and inspect the typed ReleaseOutcome",
-        )
-
-
 _EXPECTED_RET = re.compile(
     r"^(\s*)((?:\[\[[^\]]*\]\]\s*)*)"
     r"((?:(?:virtual|static|constexpr|inline|friend|explicit)\s+)*)"
@@ -380,7 +355,6 @@ RULES = {
     "hot-path-type-erasure": rule_hot_path_type_erasure,
     "hot-path-virtual": rule_hot_path_virtual,
     "lock-free-path": rule_lock_free_path,
-    "deprecated-release": rule_deprecated_release,
     "nodiscard-expected": rule_nodiscard_expected,
 }
 
@@ -429,14 +403,6 @@ def run_tree(root: Path, report: Report):
             return 2
         report.files_checked += 1
         rule_lock_free_path(src, report)
-
-    exempt = set(DEPRECATED_DECL_FILES)
-    for rel in iter_tree(root, DEPRECATED_SCAN_DIRS):
-        if rel in exempt:
-            continue
-        src = load(root, rel)
-        report.files_checked += 1
-        rule_deprecated_release(src, report)
 
     for rel in iter_tree(root, NODISCARD_SCAN_DIRS):
         if not rel.endswith((".hpp", ".h")):

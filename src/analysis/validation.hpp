@@ -1,11 +1,11 @@
 #pragma once
 
 /// @file validation.hpp
-/// Guarantee validation (experiment V1 in DESIGN.md): establish an admitted
-/// channel set over the real protocol, drive periodic traffic through the
-/// simulated network — optionally alongside best-effort load — and verify
-/// the paper's Eq 18.1 bound: every frame delivered within
-/// d_i + T_latency. The paper asserts this analytically; we measure it.
+/// Guarantee validation: establish an admitted channel set over the real
+/// protocol, drive periodic traffic through the simulated network —
+/// optionally alongside best-effort load — and verify the paper's Eq 18.1
+/// bound: every frame delivered within d_i + T_latency. The paper asserts
+/// this analytically; we measure it.
 
 #include <cstdint>
 #include <string>

@@ -110,13 +110,6 @@ class AdmissionController {
   /// (`kUnknownChannel`) when the ID is not live.
   [[nodiscard]] ReleaseOutcome release(ChannelId id);
 
-  /// Pre-typed-outcome release shape; kept one release for callers still
-  /// migrating to `ReleaseOutcome` / the `AdmissionBackend` surface.
-  [[deprecated("use release(); it reports a typed ReleaseOutcome")]]
-  bool release_ok(ChannelId id) {
-    return release(id).has_value();
-  }
-
   [[nodiscard]] const NetworkState& state() const { return state_; }
   [[nodiscard]] const AdmissionStats& stats() const { return stats_; }
   [[nodiscard]] const DeadlinePartitioner& partitioner() const {
@@ -260,13 +253,6 @@ class AdmissionEngine {
   /// caches are downdated in place (or cold-rebuilt under
   /// `ReleasePolicy::kRebuild`).
   [[nodiscard]] ReleaseOutcome release(ChannelId id);
-
-  /// Pre-typed-outcome release shape; kept one release for callers still
-  /// migrating to `ReleaseOutcome` / the `AdmissionBackend` surface.
-  [[deprecated("use release(); it reports a typed ReleaseOutcome")]]
-  bool release_ok(ChannelId id) {
-    return release(id).has_value();
-  }
 
   [[nodiscard]] const NetworkState& state() const { return state_; }
   [[nodiscard]] const AdmissionStats& stats() const { return stats_; }

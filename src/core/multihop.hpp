@@ -8,7 +8,7 @@
 /// a path of k store-and-forward hops). Per-link EDF feasibility is tested
 /// exactly as in the two-link case; the soundness argument is hop-by-hop
 /// identical because every queue sorts by the *global* absolute deadline
-/// carried in the frame header (see DESIGN.md, "Per-hop EDF keys").
+/// carried in the frame header (sim/switch.cpp, sim/fabric.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -135,13 +135,6 @@ class PathAdmissionController {
   /// the ID is not live. O(affected hops): every traversed link's cache is
   /// downdated in place.
   [[nodiscard]] ReleaseOutcome release(ChannelId id);
-
-  /// Pre-typed-outcome release shape; kept one release for callers still
-  /// migrating to `ReleaseOutcome` / the `AdmissionBackend` surface.
-  [[deprecated("use release(); it reports a typed ReleaseOutcome")]]
-  bool release_ok(ChannelId id) {
-    return release(id).has_value();
-  }
 
   [[nodiscard]] const PathNetworkState& state() const { return state_; }
   [[nodiscard]] const AdmissionStats& stats() const { return stats_; }

@@ -94,13 +94,6 @@ class ParallelAdmissionEngine {
   /// link caches are downdated.
   [[nodiscard]] ReleaseOutcome release(ChannelId id);
 
-  /// Pre-typed-outcome release shape; kept one release for callers still
-  /// migrating to `ReleaseOutcome` / the `AdmissionBackend` surface.
-  [[deprecated("use release(); it reports a typed ReleaseOutcome")]]
-  bool release_ok(ChannelId id) {
-    return release(id).has_value();
-  }
-
   /// Drives a mixed admit/release stream. Consecutive admissions form runs
   /// that go through the sharded batch path; each release is applied at its
   /// exact stream position, so outcomes match a sequential replay op by op.

@@ -64,12 +64,12 @@ struct RequestFrame {
 /// Fig 18.4 — the verdict, relayed destination→switch→source (or emitted by
 /// the switch itself on rejection).
 ///
-/// Protocol completion (documented in DESIGN.md): the figure's format has no
-/// field through which the source node can learn the uplink deadline d_iu
-/// the switch's DPS assigned, yet §18.3.1 requires the source to run EDF
-/// with exactly that deadline — and under ADPS only the switch can compute
-/// it. We therefore append a 32-bit d_iu field, filled by the switch when
-/// relaying an accepting response (0 on rejection).
+/// Protocol completion: the figure's format has no field through which the
+/// source node can learn the uplink deadline d_iu the switch's DPS
+/// assigned, yet §18.3.1 requires the source to run EDF with exactly that
+/// deadline — and under ADPS only the switch can compute it. We therefore
+/// append a 32-bit d_iu field, filled by the switch when relaying an
+/// accepting response (0 on rejection).
 struct ResponseFrame {
   ConnectionRequestId connection_request;
   ChannelId rt_channel;

@@ -5,7 +5,9 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -128,6 +130,24 @@ void mix_transmitter(Fnv1a& fnv, const sim::Transmitter& tx) {
   fnv.mix(tx.best_effort_dropped());
 }
 
+/// Mixes every per-channel delivery record (in ID order, with the delay
+/// statistics' bit patterns) and the best-effort delay aggregates.
+void mix_channel_stats(Fnv1a& fnv, const sim::SimStats& stats) {
+  for (const auto& [id, channel] : stats.channels()) {
+    fnv.mix(id.value());
+    fnv.mix(channel.frames_sent);
+    fnv.mix(channel.frames_delivered);
+    fnv.mix(channel.deadline_misses);
+    fnv.mix(static_cast<std::uint64_t>(channel.worst_lateness_ticks));
+    fnv.mix(channel.delay_ticks.count());
+    fnv.mix_double(channel.delay_ticks.mean());
+    fnv.mix_double(channel.delay_ticks.min());
+    fnv.mix_double(channel.delay_ticks.max());
+  }
+  fnv.mix(stats.best_effort_delay_ticks().count());
+  fnv.mix_double(stats.best_effort_delay_ticks().mean());
+}
+
 /// Fingerprints the finished simulation: every per-link counter, the switch
 /// aggregates and the per-channel delivery records. Field order is part of
 /// the golden contract — do not reorder.
@@ -153,19 +173,7 @@ SimDigest compute_sim_digest(const sim::SimNetwork& network) {
   fnv.mix(sw.stats().management_received);
   fnv.mix(sw.stats().flooded);
   fnv.mix(sw.stats().rt_dropped_unknown_destination);
-  for (const auto& [id, channel] : stats.channels()) {
-    fnv.mix(id.value());
-    fnv.mix(channel.frames_sent);
-    fnv.mix(channel.frames_delivered);
-    fnv.mix(channel.deadline_misses);
-    fnv.mix(static_cast<std::uint64_t>(channel.worst_lateness_ticks));
-    fnv.mix(channel.delay_ticks.count());
-    fnv.mix_double(channel.delay_ticks.mean());
-    fnv.mix_double(channel.delay_ticks.min());
-    fnv.mix_double(channel.delay_ticks.max());
-  }
-  fnv.mix(stats.best_effort_delay_ticks().count());
-  fnv.mix_double(stats.best_effort_delay_ticks().mean());
+  mix_channel_stats(fnv, stats);
   digest.link_stats_hash = fnv.value();
   return digest;
 }
@@ -235,22 +243,158 @@ struct RunContext {
     result.violations.push_back({kind, op_index, std::move(detail)});
     return false;
   }
+  /// An end-of-stream or end-of-run violation, tied to no op.
+  bool fail(ViolationKind kind, std::string detail) {
+    return fail(kind, static_cast<std::size_t>(-1), std::move(detail));
+  }
 };
 
-/// Phases A–D: the reference controller run with the candidate audit, the
-/// configured `AdmissionBackend` kinds over the same stream, and the
-/// end-of-stream consistency checks. Fills the per-op reference outcomes the
-/// later phases (multihop parity, wire replay) compare against.
+/// The DPS a scheme's star admission components carry: the configured
+/// factory's for the EDF schemes; a fixed inert SDPS for TT, whose gate
+/// synthesis has no deadline split to choose (the instance only feeds the
+/// `partitioner()` accessor and reports).
+std::unique_ptr<core::DeadlinePartitioner> scheme_dps(const RunContext& ctx) {
+  return ctx.spec.scheme == "TT"
+             ? core::make_partitioner("SDPS")
+             : ctx.options.partitioner_factory(ctx.spec.scheme);
+}
+
+/// Phases B–D, shared by every star scheme: each backend kind drives the
+/// reference run's op stream through `AdmissionBackend::submit` and must
+/// match the reference outcome for outcome — admissions *and* typed release
+/// verdicts — then hold the reference's live channel registry.
+/// `reference_label` names the reference in violation details.
+bool check_backends(
+    RunContext& ctx, std::span<const std::string> kinds,
+    std::string_view reference_label, const core::NetworkState& reference,
+    const std::vector<std::optional<AdmitOutcome>>& ref_by_op,
+    const std::vector<std::optional<ChannelId>>& id_by_op,
+    const std::vector<std::optional<ReleaseOutcome>>& release_by_op) {
+  const ScenarioSpec& spec = ctx.spec;
+  std::vector<core::ChannelOp> ops;
+  ops.reserve(spec.ops.size());
+  for (std::size_t i = 0; i < spec.ops.size(); ++i) {
+    const auto& op = spec.ops[i];
+    if (op.kind == ScenarioOp::Kind::kAdmit) {
+      ops.push_back(core::ChannelOp::admit(op.spec));
+    } else {
+      ops.push_back(core::ChannelOp::release(resolve_release(op, id_by_op)));
+    }
+  }
+  const auto reference_registry = sorted_channels(reference);
+  const std::string versus = " vs " + std::string(reference_label) + ": ";
+  for (const std::string& kind : kinds) {
+    core::BackendConfig backend_config;
+    backend_config.threads = ctx.options.parallel_threads;
+    // Fuzz batches are small; lower the fallback threshold so the sharded
+    // paths actually execute instead of degenerating to the batched engine.
+    backend_config.min_parallel_batch = 2;
+    auto backend = core::make_admission_backend(
+        kind, spec.topology.nodes, scheme_dps(ctx), backend_config);
+    if (!backend) {
+      return ctx.fail(ViolationKind::kEngineDisagreement,
+                      "unknown admission backend '" + kind + "'");
+    }
+    const auto churn = backend->submit(ops);
+    std::size_t admit_cursor = 0;
+    std::size_t release_cursor = 0;
+    for (std::size_t i = 0; i < spec.ops.size(); ++i) {
+      if (spec.ops[i].kind == ScenarioOp::Kind::kAdmit) {
+        const auto& outcome = churn.admissions[admit_cursor++];
+        if (!outcomes_equal(outcome, *ref_by_op[i])) {
+          return ctx.fail(ViolationKind::kEngineDisagreement, i,
+                          kind + " backend: " + describe(outcome) + versus +
+                              describe(*ref_by_op[i]));
+        }
+      } else {
+        const auto& outcome = churn.releases[release_cursor++];
+        if (!outcomes_equal(outcome, *release_by_op[i])) {
+          return ctx.fail(ViolationKind::kReleaseDisagreement, i,
+                          kind + " backend: " + describe(outcome) + versus +
+                              describe(*release_by_op[i]));
+        }
+      }
+    }
+    if (sorted_channels(backend->state()) != reference_registry) {
+      return ctx.fail(ViolationKind::kStateInconsistent,
+                      kind + " backend's live channel registry differs "
+                             "after the stream");
+    }
+  }
+  return true;
+}
+
+/// Whether the fault plan may legitimately have touched a channel from
+/// `source` to `destination`: a windowed fault on one of its two links, or
+/// the crash of its source. A switch reboot puts every channel in scope and
+/// is the caller's to know; a management delay touches no channel.
+bool in_fault_scope(const std::vector<sim::FaultEvent>& faults,
+                    NodeId source, NodeId destination) {
+  for (const auto& fault : faults) {
+    switch (fault.kind) {
+      case sim::FaultKind::kLinkDown:
+      case sim::FaultKind::kFrameLoss:
+      case sim::FaultKind::kFrameCorrupt:
+        if (fault.downlink ? destination == fault.node
+                           : source == fault.node) {
+          return true;
+        }
+        break;
+      case sim::FaultKind::kNodeCrash:
+        if (source == fault.node) return true;
+        break;
+      case sim::FaultKind::kSwitchReboot:
+      case sim::FaultKind::kMgmtDelay:
+        break;
+    }
+  }
+  return false;
+}
+
+/// The survival contract past zero misses, which the caller checks first
+/// (the fault model only removes load — a dropped frame consumed its wire
+/// time first — so the deadline guarantee holds for *every* channel).
+/// Channels outside every fault's scope must be loss-free; channels in
+/// scope must account for every frame exactly: sent == delivered + dropped.
+/// `label` ("", "TT ", "fabric ") prefixes the channel in details.
+bool check_survival(RunContext& ctx, std::string_view label, ChannelId id,
+                    bool in_scope, std::uint64_t sent,
+                    std::uint64_t delivered, std::uint64_t dropped) {
+  if (in_scope ? sent == delivered + dropped
+               : dropped == 0 && sent == delivered) {
+    return true;
+  }
+  std::ostringstream detail;
+  if (in_scope) {
+    detail << "faulted " << label << "channel " << id.value() << " sent "
+           << sent << " but delivered " << delivered << " + dropped "
+           << dropped << " does not add up";
+    return ctx.fail(ViolationKind::kFaultContract, detail.str());
+  }
+  detail << label << "channel " << id.value();
+  if (dropped != 0) {
+    detail << " is outside every fault's scope but booked " << dropped
+           << " fault drops";
+    return ctx.fail(ViolationKind::kFaultContract, detail.str());
+  }
+  detail << " sent " << sent << " but delivered " << delivered;
+  return ctx.fail(ViolationKind::kFrameLoss, detail.str());
+}
+
+/// Phases A–D for the EDF schemes: the reference controller run with the
+/// candidate audit, the configured `AdmissionBackend` kinds over the same
+/// stream, and the end-of-stream feasibility check. Fills the per-op
+/// reference outcomes the later phases (multihop parity, wire replay)
+/// compare against.
 bool run_star_engines(
     RunContext& ctx, std::vector<std::optional<AdmitOutcome>>& ref_by_op,
     std::vector<std::optional<ChannelId>>& id_by_op,
     std::vector<std::optional<ReleaseOutcome>>& release_by_op) {
   const ScenarioSpec& spec = ctx.spec;
   const std::uint32_t nodes = spec.topology.nodes;
-  auto make_dps = [&] { return ctx.options.partitioner_factory(spec.scheme); };
 
-  AdmissionController controller(nodes, make_dps());
-  const auto audit_dps = make_dps();
+  AdmissionController controller(nodes, scheme_dps(ctx));
+  const auto audit_dps = scheme_dps(ctx);
 
   // --- Phase A: reference run with the Eq 18.8/18.9 candidate audit ------
   for (std::size_t i = 0; i < spec.ops.size(); ++i) {
@@ -344,71 +488,16 @@ bool run_star_engines(
     ref_by_op[i] = std::move(outcome);
   }
 
-  // --- Phases B/C: every configured backend over the unified front door --
-  // Each kind drives the identical op stream through
-  // `AdmissionBackend::submit` and must match the controller outcome for
-  // outcome — admissions *and* typed release verdicts.
-  std::vector<core::ChannelOp> ops;
-  ops.reserve(spec.ops.size());
-  for (std::size_t i = 0; i < spec.ops.size(); ++i) {
-    const auto& op = spec.ops[i];
-    if (op.kind == ScenarioOp::Kind::kAdmit) {
-      ops.push_back(core::ChannelOp::admit(op.spec));
-    } else {
-      ops.push_back(core::ChannelOp::release(resolve_release(op, id_by_op)));
-    }
-  }
-  const auto reference_registry = sorted_channels(controller.state());
-  for (const std::string& kind : ctx.options.backends) {
-    core::BackendConfig backend_config;
-    backend_config.threads = ctx.options.parallel_threads;
-    // Fuzz batches are small; lower the fallback threshold so the sharded
-    // paths actually execute instead of degenerating to the batched engine.
-    backend_config.min_parallel_batch = 2;
-    auto backend =
-        core::make_admission_backend(kind, nodes, make_dps(), backend_config);
-    if (!backend) {
-      return ctx.fail(ViolationKind::kEngineDisagreement,
-                      static_cast<std::size_t>(-1),
-                      "unknown admission backend '" + kind + "'");
-    }
-    const auto churn = backend->submit(ops);
-    std::size_t admit_cursor = 0;
-    std::size_t release_cursor = 0;
-    for (std::size_t i = 0; i < spec.ops.size(); ++i) {
-      if (spec.ops[i].kind == ScenarioOp::Kind::kAdmit) {
-        const auto& outcome = churn.admissions[admit_cursor++];
-        if (!outcomes_equal(outcome, *ref_by_op[i])) {
-          return ctx.fail(ViolationKind::kEngineDisagreement, i,
-                          kind + " backend: " + describe(outcome) +
-                              " vs controller: " + describe(*ref_by_op[i]));
-        }
-      } else {
-        const auto& outcome = churn.releases[release_cursor++];
-        if (!outcomes_equal(outcome, *release_by_op[i])) {
-          return ctx.fail(ViolationKind::kReleaseDisagreement, i,
-                          kind + " backend: " + describe(outcome) +
-                              " vs controller: " +
-                              describe(*release_by_op[i]));
-        }
-      }
-    }
-
-    // --- Phase D: end-of-stream registry consistency per backend ---------
-    if (sorted_channels(backend->state()) != reference_registry) {
-      return ctx.fail(ViolationKind::kStateInconsistent,
-                      static_cast<std::size_t>(-1),
-                      kind +
-                          " backend's live channel registry differs "
-                          "after the stream");
-    }
+  if (!check_backends(ctx, ctx.options.backends, "controller",
+                      controller.state(), ref_by_op, id_by_op,
+                      release_by_op)) {
+    return false;
   }
   for (std::uint32_t n = 0; n < nodes; ++n) {
     for (const auto dir :
          {core::LinkDirection::kUplink, core::LinkDirection::kDownlink}) {
       if (!edf::is_feasible(controller.state().link(NodeId{n}, dir))) {
         return ctx.fail(ViolationKind::kInfeasibleState,
-                        static_cast<std::size_t>(-1),
                         std::string("link of node ") + std::to_string(n) +
                             " (" + core::to_string(dir) +
                             ") infeasible after churn");
@@ -503,7 +592,6 @@ bool run_multihop(RunContext& ctx,
 
   if (multihop.state().channel_count() != live) {
     return ctx.fail(ViolationKind::kStateInconsistent,
-                    static_cast<std::size_t>(-1),
                     "multihop registry count drifted from the op stream");
   }
   if (spec.topology.kind != TopologyKind::kStar) {
@@ -525,7 +613,6 @@ bool run_multihop(RunContext& ctx,
   for (const auto& link : links) {
     if (!edf::is_feasible(multihop.state().link(link))) {
       return ctx.fail(ViolationKind::kInfeasibleState,
-                      static_cast<std::size_t>(-1),
                       "multihop link " + link.to_string() +
                           " infeasible after churn");
     }
@@ -569,19 +656,7 @@ SimDigest compute_fabric_digest(const sim::FabricNetwork& fabric) {
     for (const sim::Transmitter* tx : fabric.transmitters(p)) {
       mix_transmitter(fnv, *tx);
     }
-    for (const auto& [id, channel] : stats.channels()) {
-      fnv.mix(id.value());
-      fnv.mix(channel.frames_sent);
-      fnv.mix(channel.frames_delivered);
-      fnv.mix(channel.deadline_misses);
-      fnv.mix(static_cast<std::uint64_t>(channel.worst_lateness_ticks));
-      fnv.mix(channel.delay_ticks.count());
-      fnv.mix_double(channel.delay_ticks.mean());
-      fnv.mix_double(channel.delay_ticks.min());
-      fnv.mix_double(channel.delay_ticks.max());
-    }
-    fnv.mix(stats.best_effort_delay_ticks().count());
-    fnv.mix_double(stats.best_effort_delay_ticks().mean());
+    mix_channel_stats(fnv, stats);
   }
   for (const auto& trunk : fabric.trunk_traffic()) {
     fnv.mix(trunk.from);
@@ -633,7 +708,6 @@ bool run_simulation_fabric(RunContext& ctx,
   if (!driver.run_until(fabric_options.traffic_stop +
                         sim_config.slots_to_ticks(drain_slots))) {
     return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                    static_cast<std::size_t>(-1),
                     "a fabric partition tripped the runaway guard");
   }
   ctx.result.simulated_slots = spec.run_slots + drain_slots;
@@ -641,18 +715,6 @@ bool run_simulation_fabric(RunContext& ctx,
   ctx.result.fabric_partitions = fabric.partition_count();
   ctx.result.cut_link_records = fabric.cut_link_records();
   ctx.result.fault_injections = fabric.fault_injections();
-
-  // Which channels a fault may legitimately have touched (the fabric only
-  // supports windowed kinds, so scope is per node link, as on the star).
-  const auto in_fault_scope = [&](const core::MultihopChannel& channel) {
-    for (const auto& fault : spec.faults) {
-      if (fault.downlink ? channel.spec.destination == fault.node
-                         : channel.spec.source == fault.node) {
-        return true;
-      }
-    }
-    return false;
-  };
 
   const auto counts = fabric.channel_counts();
   for (const auto& channel : channels) {
@@ -666,34 +728,14 @@ bool run_simulation_fabric(RunContext& ctx,
              << channel.spec.deadline << ", " << channel.path.size()
              << " hops) missed " << count.misses << " of " << count.sent
              << " frames";
-      return ctx.fail(ViolationKind::kDeadlineMiss,
-                      static_cast<std::size_t>(-1), detail.str());
+      return ctx.fail(ViolationKind::kDeadlineMiss, detail.str());
     }
-    if (in_fault_scope(channel)) {
-      if (count.sent != count.delivered + count.dropped) {
-        std::ostringstream detail;
-        detail << "faulted fabric channel " << channel.id.value() << " sent "
-               << count.sent << " but delivered " << count.delivered
-               << " + dropped " << count.dropped << " does not add up";
-        return ctx.fail(ViolationKind::kFaultContract,
-                        static_cast<std::size_t>(-1), detail.str());
-      }
-      continue;
-    }
-    if (count.dropped != 0) {
-      std::ostringstream detail;
-      detail << "fabric channel " << channel.id.value()
-             << " is outside every fault's scope but booked " << count.dropped
-             << " fault drops";
-      return ctx.fail(ViolationKind::kFaultContract,
-                      static_cast<std::size_t>(-1), detail.str());
-    }
-    if (count.sent != count.delivered) {
-      std::ostringstream detail;
-      detail << "fabric channel " << channel.id.value() << " sent "
-             << count.sent << " but delivered " << count.delivered;
-      return ctx.fail(ViolationKind::kFrameLoss, static_cast<std::size_t>(-1),
-                      detail.str());
+    // Fabric plans are windowed only, so scope is per node link.
+    if (!check_survival(ctx, "fabric ", channel.id,
+                        in_fault_scope(spec.faults, channel.spec.source,
+                                       channel.spec.destination),
+                        count.sent, count.delivered, count.dropped)) {
+      return false;
     }
   }
   return true;
@@ -702,7 +744,7 @@ bool run_simulation_fabric(RunContext& ctx,
 /// Replays the op stream over the management protocol; the wire must reach
 /// the same decisions, IDs and uplink deadlines as the analytic reference
 /// (`ref_by_op`). Fills `live` with the surviving established channels.
-/// Shared by the EDF and TT simulation phases — the wire is scheme-blind.
+/// The wire is scheme-blind: EDF and TT replay it alike.
 bool replay_wire(
     RunContext& ctx, proto::Stack& stack,
     const std::vector<std::optional<AdmitOutcome>>& ref_by_op,
@@ -784,21 +826,38 @@ std::uint64_t worst_position_jitter(
   return worst;
 }
 
-/// Phase F: wire-protocol replay plus the Eq 18.1 guarantee check in the
-/// slot-accurate simulator.
+/// Phase F on the star: wire-protocol replay against the analytic
+/// reference, then the Eq 18.1 guarantee and the survival contract in the
+/// slot-accurate simulator. TT runs the same wire on its "tt" backend, with
+/// the admitted gate tables installed into every transmitter and all senders
+/// released in phase at a common slot-aligned epoch, and must also show zero
+/// delivery jitter: each frame position's delivery delay is identical in
+/// every period, by construction of the slot table.
 bool run_simulation(
     RunContext& ctx, const std::vector<std::optional<AdmitOutcome>>& ref_by_op,
     const std::vector<std::optional<ChannelId>>& id_by_op,
     const std::vector<std::optional<ReleaseOutcome>>& release_by_op) {
   const ScenarioSpec& spec = ctx.spec;
+  const bool tt = spec.scheme == "TT";
   sim::SimConfig sim_config;
   sim_config.ticks_per_slot = spec.ticks_per_slot;
   proto::Stack stack(sim_config, spec.topology.nodes,
-                     ctx.options.partitioner_factory(spec.scheme));
+                     core::make_admission_backend(tt ? "tt" : "controller",
+                                                  spec.topology.nodes,
+                                                  scheme_dps(ctx), {}));
   auto& network = stack.network();
   network.set_miss_allowance(
       sim_config.t_latency_ticks(spec.with_best_effort));
-  if (ctx.options.record_jitter) {
+  // Steps the wire to `until`; tripping the kernel's runaway guard fails.
+  const auto run_to = [&](Tick until, const char* when) {
+    return network.simulator().run_until(until) ||
+           ctx.fail(ViolationKind::kSimBudgetExhausted,
+                    std::string("runaway guard tripped ") + when);
+  };
+  // TT's zero-jitter check needs the exact delay sequence; the EDF schemes
+  // record it only for the jitter metric.
+  const bool record_delays = tt || ctx.options.record_jitter;
+  if (record_delays) {
     network.stats().set_record_delays(true);
   }
 
@@ -809,7 +868,8 @@ bool run_simulation(
 
   // The fault plan (if any) hooks every transmitter now, so windows are
   // relative to the measured run's start — establishment above ran on a
-  // pristine wire and its conformance checks stay exact.
+  // pristine wire and its conformance checks stay exact. Structural faults
+  // are EDF-only (TT plans are rejected as malformed).
   sim::FaultInjector injector(spec.seed);
   const sim::FaultEvent* structural = nullptr;
   for (const auto& fault : spec.faults) {
@@ -832,15 +892,70 @@ bool run_simulation(
   std::sort(channels.begin(), channels.end(),
             [](const auto* a, const auto* b) { return a->id < b->id; });
 
+  // The measured run starts once establishment is done. TT starts it at
+  // the next slot boundary, the common epoch t0: every gate stream anchors
+  // its offsets at t0 and every sender releases phase 0 exactly at t0, so
+  // the conflict-free residues of admission become conflict-free absolute
+  // window instants on the wire — and per-position delivery delays are
+  // period-invariant. The collision analysis is epoch-invariant, so any
+  // common t0 works.
+  const Tick ticks_per_slot = sim_config.slots_to_ticks(1);
+  Tick run_start = network.now();
+  if (tt) {
+    if (run_start % ticks_per_slot != 0) {
+      run_start += ticks_per_slot - run_start % ticks_per_slot;
+    }
+    const core::GateScheduleAdmission* gates =
+        stack.management().admission().gate_schedule();
+    RTETHER_ASSERT_MSG(gates != nullptr,
+                       "the tt backend must expose its gate schedule");
+    // Downlink gates shift by the store-and-forward pipeline delay: frame j
+    // finishes its uplink window at u_j + 1 slots and is queued on the
+    // egress port propagation + processing ticks later — with v_j ≥ u_j + 1
+    // that is never after the shifted downlink window opens.
+    const Tick downlink_shift =
+        sim_config.propagation_ticks + sim_config.switch_processing_ticks;
+    std::vector<sim::Transmitter::GateWindow> windows;
+    for (std::uint32_t n = 0; n < spec.topology.nodes; ++n) {
+      for (const auto dir :
+           {core::LinkDirection::kUplink, core::LinkDirection::kDownlink}) {
+        const core::GateTable& table = gates->gate_table(NodeId{n}, dir);
+        if (table.empty()) continue;
+        const Tick shift =
+            dir == core::LinkDirection::kUplink ? Tick{0} : downlink_shift;
+        windows.clear();
+        for (const auto& reservation : table) {
+          for (const Slot offset : reservation.offsets) {
+            sim::Transmitter::GateWindow window;
+            window.channel = reservation.id;
+            window.period_ticks =
+                sim_config.slots_to_ticks(reservation.period);
+            window.first_open =
+                run_start + sim_config.slots_to_ticks(offset) + shift;
+            windows.push_back(window);
+          }
+        }
+        sim::Transmitter& transmitter =
+            dir == core::LinkDirection::kUplink
+                ? network.node(NodeId{n}).uplink()
+                : network.ethernet_switch().port(NodeId{n});
+        transmitter.install_gate_schedule(windows);
+      }
+    }
+  }
+
   Slot max_deadline = 0;
   // Senders are only ever stopped, never destroyed mid-run: a stopped
-  // sender may still have one armed kernel timer pointing at it.
+  // sender may still have one armed kernel timer pointing at it. The EDF
+  // schemes start them before the background attaches, TT only once the
+  // wire is parked at the epoch — the kernel breaks same-tick ties by
+  // scheduling order, so each scheme's order is part of its digest.
   std::vector<std::unique_ptr<proto::PeriodicRtSender>> senders;
   for (const auto* channel : channels) {
     max_deadline = std::max(max_deadline, channel->deadline);
     senders.push_back(std::make_unique<proto::PeriodicRtSender>(
         stack.layer(channel->source), channel->id));
-    senders.back()->start();
+    if (!tt) senders.back()->start();
   }
   std::vector<std::unique_ptr<sim::BestEffortSource>> background;
   if (spec.with_best_effort) {
@@ -852,8 +967,11 @@ bool run_simulation(
     background = sim::attach_best_effort_everywhere(network, profile,
                                                     spec.seed ^ 0xbeefULL);
   }
+  if (tt) {
+    if (!run_to(run_start, "reaching the TT epoch")) return false;
+    for (auto& sender : senders) sender->start();
+  }
 
-  const Tick run_start = network.now();
   Tick stop_at = run_start + sim_config.slots_to_ticks(spec.run_slots);
   bool rebooted = false;
 
@@ -863,11 +981,7 @@ bool run_simulation(
   if (structural != nullptr) {
     const Tick fault_at =
         run_start + sim_config.slots_to_ticks(structural->at_slot);
-    if (!network.simulator().run_until(fault_at)) {
-      return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                      static_cast<std::size_t>(-1),
-                      "runaway guard tripped before the structural fault");
-    }
+    if (!run_to(fault_at, "before the structural fault")) return false;
     if (structural->kind == sim::FaultKind::kSwitchReboot) {
       // --- Switch reboot: tables lost, nodes must re-register. ----------
       rebooted = true;
@@ -911,8 +1025,7 @@ bool run_simulation(
                                " d_iu=" + std::to_string(re->uplink_deadline)
                          : "rejected (" + re.error() + ")")
                  << " vs fresh controller " << describe(expected);
-          return ctx.fail(ViolationKind::kReadmissionDivergence,
-                          static_cast<std::size_t>(-1), detail.str());
+          return ctx.fail(ViolationKind::kReadmissionDivergence, detail.str());
         }
         if (re.has_value()) {
           max_deadline = std::max(max_deadline, re->deadline);
@@ -927,14 +1040,11 @@ bool run_simulation(
       // offset the streams against each other by sub-slot amounts — at
       // full utilization that is a *permanent* sub-slot lateness (found by
       // the fault campaign as systematic 9-tick misses after a reboot).
-      const Tick ticks_per_slot = sim_config.slots_to_ticks(1);
       const Tick off_grid = (network.now() - run_start) % ticks_per_slot;
       if (off_grid != 0 &&
-          !network.simulator().run_until(network.now() +
-                                         (ticks_per_slot - off_grid))) {
-        return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                        static_cast<std::size_t>(-1),
-                        "runaway guard tripped aligning the reboot restart");
+          !run_to(network.now() + (ticks_per_slot - off_grid),
+                  "aligning the reboot restart")) {
+        return false;
       }
       for (const auto& channel : restarted) {
         senders.push_back(std::make_unique<proto::PeriodicRtSender>(
@@ -1002,115 +1112,71 @@ bool run_simulation(
                                      spec.run_slots - structural->at_slot));
   }
 
-  if (!network.simulator().run_until(stop_at)) {
-    return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                    static_cast<std::size_t>(-1),
-                    "runaway guard tripped during the measured run");
-  }
+  if (!run_to(stop_at, "during the measured run")) return false;
   for (auto& sender : senders) sender->stop();
   for (auto& source : background) source->stop();
   // Drain: anything released before the stop must land within its deadline
   // plus the allowance; one extra period covers in-flight self-reschedules.
   const Slot drain_slots = max_deadline + 64;
-  if (!network.simulator().run_until(
-          stop_at + sim_config.slots_to_ticks(drain_slots))) {
-    return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                    static_cast<std::size_t>(-1),
-                    "runaway guard tripped during the drain");
+  if (!run_to(stop_at + sim_config.slots_to_ticks(drain_slots),
+              "during the drain")) {
+    return false;
   }
   ctx.result.simulated_slots =
-      (stop_at - run_start) / sim_config.slots_to_ticks(1) + drain_slots;
+      (stop_at - run_start) / ticks_per_slot + drain_slots;
   ctx.result.sim_digest = compute_sim_digest(network);
   ctx.result.fault_injections = injector.injections();
-  if (ctx.options.record_jitter) {
+  if (record_delays) {
     ctx.result.worst_jitter_ticks = worst_position_jitter(network.stats(),
                                                           live);
   }
-  // Which channels a fault may legitimately have touched. After a reboot
-  // every channel is in scope (and re-registration may have recycled IDs
-  // across different specs, so per-ID attribution is meaningless anyway).
-  const auto in_fault_scope = [&](const proto::EstablishedChannel& channel) {
-    if (rebooted) return true;
-    for (const auto& fault : spec.faults) {
-      switch (fault.kind) {
-        case sim::FaultKind::kLinkDown:
-        case sim::FaultKind::kFrameLoss:
-        case sim::FaultKind::kFrameCorrupt:
-          if (fault.downlink ? channel.destination == fault.node
-                             : channel.source == fault.node) {
-            return true;
-          }
-          break;
-        case sim::FaultKind::kNodeCrash:
-          if (channel.source == fault.node) return true;
-          break;
-        case sim::FaultKind::kSwitchReboot:
-        case sim::FaultKind::kMgmtDelay:
-          break;  // reboot handled above; mgmt delay touches no channel
-      }
-    }
-    return false;
-  };
 
-  // The survival contract. Deadline misses must be zero for *every*
-  // channel — the fault model only removes load (a dropped frame consumed
-  // its wire time first), so EDF's guarantee is untouched. Channels
-  // outside every fault's scope must be loss-free; channels in scope must
-  // account for every frame exactly: sent == delivered + dropped.
+  const std::string_view label = tt ? "TT " : "";
   for (const auto& [idv, channel] : live) {
     const auto stats = network.stats().channel(channel.id);
     if (!stats) continue;  // period longer than the run; nothing released
     ctx.result.frames_delivered += stats->frames_delivered;
     if (stats->deadline_misses != 0) {
       std::ostringstream detail;
-      detail << "channel " << channel.id.value() << " (d="
+      detail << label << "channel " << channel.id.value() << " (d="
              << channel.deadline << ") missed " << stats->deadline_misses
              << " of " << stats->frames_sent << " frames; worst lateness "
              << stats->worst_lateness_ticks << " ticks";
-      return ctx.fail(ViolationKind::kDeadlineMiss,
-                      static_cast<std::size_t>(-1), detail.str());
+      return ctx.fail(ViolationKind::kDeadlineMiss, detail.str());
     }
-    if (in_fault_scope(channel)) {
-      if (stats->frames_sent !=
-          stats->frames_delivered + stats->frames_dropped) {
+    // After a reboot every channel is in scope (and re-registration may
+    // have recycled IDs across different specs, so per-ID attribution is
+    // meaningless anyway).
+    const bool in_scope =
+        rebooted ||
+        in_fault_scope(spec.faults, channel.source, channel.destination);
+    if (!check_survival(ctx, label, channel.id, in_scope, stats->frames_sent,
+                        stats->frames_delivered, stats->frames_dropped)) {
+      return false;
+    }
+    // The zero-jitter contract: frame position j of every period leaves at
+    // offsets (u_j, v_j) of that period, so its delivery delay is the same
+    // constant in every period — delays repeat with the message capacity.
+    // A drop perturbs the frame-position bookkeeping, so channels in fault
+    // scope are exempt (never from the zero-miss contract).
+    if (!tt || in_scope) continue;
+    const auto& delays = stats->delivery_delays;
+    const std::size_t capacity = channel.capacity;
+    for (std::size_t i = capacity; i < delays.size(); ++i) {
+      if (delays[i] != delays[i - capacity]) {
         std::ostringstream detail;
-        detail << "faulted channel " << channel.id.value() << " sent "
-               << stats->frames_sent << " but delivered "
-               << stats->frames_delivered << " + dropped "
-               << stats->frames_dropped << " does not add up";
-        return ctx.fail(ViolationKind::kFaultContract,
-                        static_cast<std::size_t>(-1), detail.str());
+        detail << "TT channel " << channel.id.value() << " frame " << i
+               << " (position " << i % capacity << ") delivered after "
+               << delays[i] << " ticks vs " << delays[i - capacity]
+               << " one period earlier";
+        return ctx.fail(ViolationKind::kJitterViolation, detail.str());
       }
-      continue;
-    }
-    if (stats->frames_dropped != 0) {
-      std::ostringstream detail;
-      detail << "channel " << channel.id.value()
-             << " is outside every fault's scope but booked "
-             << stats->frames_dropped << " fault drops";
-      return ctx.fail(ViolationKind::kFaultContract,
-                      static_cast<std::size_t>(-1), detail.str());
-    }
-    if (stats->frames_sent != stats->frames_delivered) {
-      std::ostringstream detail;
-      detail << "channel " << channel.id.value() << " sent "
-             << stats->frames_sent << " but delivered "
-             << stats->frames_delivered;
-      return ctx.fail(ViolationKind::kFrameLoss,
-                      static_cast<std::size_t>(-1), detail.str());
     }
   }
   return true;
 }
 
-// --- Time-triggered (TT) scheme phases -----------------------------------
-
-/// The fixed inert partitioner TT components carry: gate synthesis has no
-/// deadline split to choose, the instance only feeds the `partitioner()`
-/// accessor and reports.
-std::unique_ptr<core::DeadlinePartitioner> tt_placeholder_dps() {
-  return core::make_partitioner("SDPS");
-}
+// --- Time-triggered (TT) reference phases --------------------------------
 
 /// Checks one link's gate table for reservation conflicts: two offset
 /// streams {o + kP} and {o' + mP'} collide iff o ≡ o' (mod gcd(P, P')).
@@ -1177,15 +1243,15 @@ std::string audit_placement(const ChannelSpec& request,
 
 /// Phases A–D for the TT scheme: the reference `GateScheduleAdmission` run
 /// with the per-accept placement audit, the "tt" backend over the unified
-/// front door (bit-identical outcomes), and the end-of-stream registry and
-/// pairwise conflict-freedom checks.
+/// front door (bit-identical outcomes and registry), and the end-of-stream
+/// pairwise conflict-freedom check.
 bool run_star_tt(
     RunContext& ctx, std::vector<std::optional<AdmitOutcome>>& ref_by_op,
     std::vector<std::optional<ChannelId>>& id_by_op,
     std::vector<std::optional<ReleaseOutcome>>& release_by_op) {
   const ScenarioSpec& spec = ctx.spec;
   const std::uint32_t nodes = spec.topology.nodes;
-  core::GateScheduleAdmission reference(nodes, tt_placeholder_dps());
+  core::GateScheduleAdmission reference(nodes, scheme_dps(ctx));
 
   // --- Phase A: reference run with the placement audit -------------------
   for (std::size_t i = 0; i < spec.ops.size(); ++i) {
@@ -1225,47 +1291,10 @@ bool run_star_tt(
     ref_by_op[i] = std::move(outcome);
   }
 
-  // --- Phases B/C: the "tt" backend over the unified front door ----------
-  std::vector<core::ChannelOp> ops;
-  ops.reserve(spec.ops.size());
-  for (std::size_t i = 0; i < spec.ops.size(); ++i) {
-    const auto& op = spec.ops[i];
-    if (op.kind == ScenarioOp::Kind::kAdmit) {
-      ops.push_back(core::ChannelOp::admit(op.spec));
-    } else {
-      ops.push_back(core::ChannelOp::release(resolve_release(op, id_by_op)));
-    }
-  }
-  auto backend = core::make_admission_backend("tt", nodes,
-                                              tt_placeholder_dps(), {});
-  const auto churn = backend->submit(ops);
-  std::size_t admit_cursor = 0;
-  std::size_t release_cursor = 0;
-  for (std::size_t i = 0; i < spec.ops.size(); ++i) {
-    if (spec.ops[i].kind == ScenarioOp::Kind::kAdmit) {
-      const auto& outcome = churn.admissions[admit_cursor++];
-      if (!outcomes_equal(outcome, *ref_by_op[i])) {
-        return ctx.fail(ViolationKind::kEngineDisagreement, i,
-                        "tt backend: " + describe(outcome) +
-                            " vs reference: " + describe(*ref_by_op[i]));
-      }
-    } else {
-      const auto& outcome = churn.releases[release_cursor++];
-      if (!outcomes_equal(outcome, *release_by_op[i])) {
-        return ctx.fail(ViolationKind::kReleaseDisagreement, i,
-                        "tt backend: " + describe(outcome) +
-                            " vs reference: " + describe(*release_by_op[i]));
-      }
-    }
-  }
-
-  // --- Phase D: registry consistency and conflict-free gate tables -------
-  if (sorted_channels(backend->state()) !=
-      sorted_channels(reference.state())) {
-    return ctx.fail(ViolationKind::kStateInconsistent,
-                    static_cast<std::size_t>(-1),
-                    "tt backend's live channel registry differs after the "
-                    "stream");
+  const std::string tt_kind[] = {"tt"};
+  if (!check_backends(ctx, tt_kind, "reference", reference.state(),
+                      ref_by_op, id_by_op, release_by_op)) {
+    return false;
   }
   for (std::uint32_t n = 0; n < nodes; ++n) {
     for (const auto dir :
@@ -1274,231 +1303,8 @@ bool run_star_tt(
               find_gate_conflict(reference.gate_table(NodeId{n}, dir));
           !broken.empty()) {
         return ctx.fail(ViolationKind::kGateConflict,
-                        static_cast<std::size_t>(-1),
                         std::string(core::to_string(dir)) + " of node " +
                             std::to_string(n) + ": " + broken);
-      }
-    }
-  }
-  return true;
-}
-
-/// Phase F for the TT scheme: wire-protocol replay against the
-/// gate-schedule reference, then the scheme's own guarantee in the
-/// slot-accurate simulator — the admitted gate tables are installed into
-/// every transmitter, all senders release in phase at a common slot-aligned
-/// epoch, and the run must show zero misses, zero losses outside fault
-/// scope, *and zero delivery jitter*: each frame position's delivery delay
-/// is identical in every period, by construction of the slot table.
-bool run_simulation_tt(
-    RunContext& ctx, const std::vector<std::optional<AdmitOutcome>>& ref_by_op,
-    const std::vector<std::optional<ChannelId>>& id_by_op,
-    const std::vector<std::optional<ReleaseOutcome>>& release_by_op) {
-  const ScenarioSpec& spec = ctx.spec;
-  sim::SimConfig sim_config;
-  sim_config.ticks_per_slot = spec.ticks_per_slot;
-  proto::Stack stack(sim_config, spec.topology.nodes,
-                     core::make_admission_backend("tt", spec.topology.nodes,
-                                                  tt_placeholder_dps(), {}));
-  auto& network = stack.network();
-  network.set_miss_allowance(
-      sim_config.t_latency_ticks(spec.with_best_effort));
-  network.stats().set_record_delays(true);
-
-  std::unordered_map<std::uint16_t, proto::EstablishedChannel> live;
-  if (!replay_wire(ctx, stack, ref_by_op, id_by_op, release_by_op, live)) {
-    return false;
-  }
-
-  // Windowed fault plan; structural faults were rejected as malformed for
-  // TT (the reboot recovery protocol is an EDF-scheme behavior).
-  sim::FaultInjector injector(spec.seed);
-  if (!spec.faults.empty()) {
-    injector.install(network, spec.faults, network.now());
-  }
-
-  std::vector<const proto::EstablishedChannel*> channels;
-  channels.reserve(live.size());
-  for (const auto& [id, channel] : live) channels.push_back(&channel);
-  std::sort(channels.begin(), channels.end(),
-            [](const auto* a, const auto* b) { return a->id < b->id; });
-
-  // Common epoch t0: the next slot boundary after establishment. Every
-  // gate stream anchors its offsets at t0 and every sender releases phase 0
-  // exactly at t0, so the conflict-free residues of admission become
-  // conflict-free absolute window instants on the wire — and per-position
-  // delivery delays are period-invariant (the zero-jitter contract). The
-  // collision analysis is epoch-invariant, so any common t0 works.
-  const Tick ticks_per_slot = sim_config.slots_to_ticks(1);
-  Tick epoch = network.now();
-  if (epoch % ticks_per_slot != 0) {
-    epoch += ticks_per_slot - epoch % ticks_per_slot;
-  }
-
-  const core::GateScheduleAdmission* gates =
-      stack.management().admission().gate_schedule();
-  RTETHER_ASSERT_MSG(gates != nullptr,
-                     "the tt backend must expose its gate schedule");
-  // Downlink gates shift by the store-and-forward pipeline delay: frame j
-  // finishes its uplink window at u_j + 1 slots and is queued on the
-  // egress port propagation + processing ticks later — with v_j ≥ u_j + 1
-  // that is never after the shifted downlink window opens.
-  const Tick downlink_shift =
-      sim_config.propagation_ticks + sim_config.switch_processing_ticks;
-  std::vector<sim::Transmitter::GateWindow> windows;
-  for (std::uint32_t n = 0; n < spec.topology.nodes; ++n) {
-    for (const auto dir :
-         {core::LinkDirection::kUplink, core::LinkDirection::kDownlink}) {
-      const core::GateTable& table = gates->gate_table(NodeId{n}, dir);
-      if (table.empty()) continue;
-      const Tick shift =
-          dir == core::LinkDirection::kUplink ? Tick{0} : downlink_shift;
-      windows.clear();
-      for (const auto& reservation : table) {
-        for (const Slot offset : reservation.offsets) {
-          sim::Transmitter::GateWindow window;
-          window.channel = reservation.id;
-          window.period_ticks = sim_config.slots_to_ticks(reservation.period);
-          window.first_open =
-              epoch + sim_config.slots_to_ticks(offset) + shift;
-          windows.push_back(window);
-        }
-      }
-      sim::Transmitter& transmitter =
-          dir == core::LinkDirection::kUplink
-              ? network.node(NodeId{n}).uplink()
-              : network.ethernet_switch().port(NodeId{n});
-      transmitter.install_gate_schedule(windows);
-    }
-  }
-
-  Slot max_deadline = 0;
-  std::vector<std::unique_ptr<proto::PeriodicRtSender>> senders;
-  for (const auto* channel : channels) {
-    max_deadline = std::max(max_deadline, channel->deadline);
-    senders.push_back(std::make_unique<proto::PeriodicRtSender>(
-        stack.layer(channel->source), channel->id));
-  }
-  std::vector<std::unique_ptr<sim::BestEffortSource>> background;
-  if (spec.with_best_effort) {
-    sim::BestEffortProfile profile;
-    profile.offered_load = spec.best_effort_load;
-    profile.arrivals = spec.bursty_best_effort
-                           ? sim::BestEffortArrivals::kOnOff
-                           : sim::BestEffortArrivals::kPoisson;
-    background = sim::attach_best_effort_everywhere(network, profile,
-                                                    spec.seed ^ 0xbeefULL);
-  }
-
-  // Park the wire at the epoch, then start the synchronized release
-  // pattern the slot table was synthesized for.
-  if (!network.simulator().run_until(epoch)) {
-    return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                    static_cast<std::size_t>(-1),
-                    "runaway guard tripped reaching the TT epoch");
-  }
-  for (auto& sender : senders) sender->start();
-
-  const Tick stop_at = epoch + sim_config.slots_to_ticks(spec.run_slots);
-  if (!network.simulator().run_until(stop_at)) {
-    return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                    static_cast<std::size_t>(-1),
-                    "runaway guard tripped during the measured run");
-  }
-  for (auto& sender : senders) sender->stop();
-  for (auto& source : background) source->stop();
-  const Slot drain_slots = max_deadline + 64;
-  if (!network.simulator().run_until(
-          stop_at + sim_config.slots_to_ticks(drain_slots))) {
-    return ctx.fail(ViolationKind::kSimBudgetExhausted,
-                    static_cast<std::size_t>(-1),
-                    "runaway guard tripped during the drain");
-  }
-  ctx.result.simulated_slots = spec.run_slots + drain_slots;
-  ctx.result.sim_digest = compute_sim_digest(network);
-  ctx.result.fault_injections = injector.injections();
-  ctx.result.worst_jitter_ticks =
-      worst_position_jitter(network.stats(), live);
-
-  // Which channels a windowed fault may legitimately have touched (a drop
-  // perturbs the frame-position bookkeeping, so they are also exempt from
-  // the jitter check — but never from the zero-miss contract).
-  const auto in_fault_scope = [&](const proto::EstablishedChannel& channel) {
-    for (const auto& fault : spec.faults) {
-      switch (fault.kind) {
-        case sim::FaultKind::kLinkDown:
-        case sim::FaultKind::kFrameLoss:
-        case sim::FaultKind::kFrameCorrupt:
-          if (fault.downlink ? channel.destination == fault.node
-                             : channel.source == fault.node) {
-            return true;
-          }
-          break;
-        case sim::FaultKind::kSwitchReboot:
-        case sim::FaultKind::kNodeCrash:
-        case sim::FaultKind::kMgmtDelay:
-          break;  // structural rejected for TT; mgmt delay touches none
-      }
-    }
-    return false;
-  };
-
-  for (const auto& [idv, channel] : live) {
-    const auto stats = network.stats().channel(channel.id);
-    if (!stats) continue;  // period longer than the run; nothing released
-    ctx.result.frames_delivered += stats->frames_delivered;
-    if (stats->deadline_misses != 0) {
-      std::ostringstream detail;
-      detail << "TT channel " << channel.id.value() << " (d="
-             << channel.deadline << ") missed " << stats->deadline_misses
-             << " of " << stats->frames_sent << " frames; worst lateness "
-             << stats->worst_lateness_ticks << " ticks";
-      return ctx.fail(ViolationKind::kDeadlineMiss,
-                      static_cast<std::size_t>(-1), detail.str());
-    }
-    if (in_fault_scope(channel)) {
-      if (stats->frames_sent !=
-          stats->frames_delivered + stats->frames_dropped) {
-        std::ostringstream detail;
-        detail << "faulted TT channel " << channel.id.value() << " sent "
-               << stats->frames_sent << " but delivered "
-               << stats->frames_delivered << " + dropped "
-               << stats->frames_dropped << " does not add up";
-        return ctx.fail(ViolationKind::kFaultContract,
-                        static_cast<std::size_t>(-1), detail.str());
-      }
-      continue;
-    }
-    if (stats->frames_dropped != 0) {
-      std::ostringstream detail;
-      detail << "TT channel " << channel.id.value()
-             << " is outside every fault's scope but booked "
-             << stats->frames_dropped << " fault drops";
-      return ctx.fail(ViolationKind::kFaultContract,
-                      static_cast<std::size_t>(-1), detail.str());
-    }
-    if (stats->frames_sent != stats->frames_delivered) {
-      std::ostringstream detail;
-      detail << "TT channel " << channel.id.value() << " sent "
-             << stats->frames_sent << " but delivered "
-             << stats->frames_delivered;
-      return ctx.fail(ViolationKind::kFrameLoss,
-                      static_cast<std::size_t>(-1), detail.str());
-    }
-    // The zero-jitter contract: frame position j of every period leaves at
-    // offsets (u_j, v_j) of that period, so its delivery delay is the same
-    // constant in every period — delays repeat with the message capacity.
-    const auto& delays = stats->delivery_delays;
-    const std::size_t capacity = channel.capacity;
-    for (std::size_t i = capacity; i < delays.size(); ++i) {
-      if (delays[i] != delays[i - capacity]) {
-        std::ostringstream detail;
-        detail << "TT channel " << channel.id.value() << " frame " << i
-               << " (position " << i % capacity << ") delivered after "
-               << delays[i] << " ticks vs " << delays[i - capacity]
-               << " one period earlier";
-        return ctx.fail(ViolationKind::kJitterViolation,
-                        static_cast<std::size_t>(-1), detail.str());
       }
     }
   }
@@ -1526,21 +1332,22 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     // Strict: an unknown scheme must be a replayable failure, not a silent
     // fallback to some default DPS (the multihop factory used to map
     // anything unrecognized to ADPS).
-    ctx.fail(ViolationKind::kMalformedSpec, static_cast<std::size_t>(-1),
+    ctx.fail(ViolationKind::kMalformedSpec,
              "unknown scheme '" + spec.scheme +
                  "' (want SDPS, ADPS, UDPS, Search or TT)");
     return ctx.result;
   }
   if (!spec.well_formed()) {
-    ctx.fail(ViolationKind::kMalformedSpec, static_cast<std::size_t>(-1),
+    ctx.fail(ViolationKind::kMalformedSpec,
              "release targets must point back at admit ops and fault plans "
              "need a simulated wire with sane windows (structural faults: "
              "star only)");
     return ctx.result;
   }
   const bool tt = spec.scheme == "TT";
-  if (tt && spec.topology.kind != TopologyKind::kStar) {
-    ctx.fail(ViolationKind::kMalformedSpec, static_cast<std::size_t>(-1),
+  const bool star = spec.topology.kind == TopologyKind::kStar;
+  if (tt && !star) {
+    ctx.fail(ViolationKind::kMalformedSpec,
              "the TT scheme runs on the star fabric only");
     return ctx.result;
   }
@@ -1548,7 +1355,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     for (const auto& fault : spec.faults) {
       if (fault.kind == sim::FaultKind::kSwitchReboot ||
           fault.kind == sim::FaultKind::kNodeCrash) {
-        ctx.fail(ViolationKind::kMalformedSpec, static_cast<std::size_t>(-1),
+        ctx.fail(ViolationKind::kMalformedSpec,
                  "TT fault plans must be windowed — the structural recovery "
                  "protocol is defined for the EDF schemes");
         return ctx.result;
@@ -1560,30 +1367,19 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
   std::vector<std::optional<ChannelId>> id_by_op(spec.ops.size());
   std::vector<std::optional<ReleaseOutcome>> release_by_op(spec.ops.size());
 
-  const bool star = spec.topology.kind == TopologyKind::kStar;
   bool ok = true;
-  if (tt) {
-    // The TT scheme swaps the EDF engine battery (phases A–E) for its own
-    // A–D; there is no multihop generalization of the gate synthesis.
-    ok = run_star_tt(ctx, ref_by_op, id_by_op, release_by_op);
-    if (ok && spec.simulate && resolved.run_simulation) {
-      ok = run_simulation_tt(ctx, ref_by_op, id_by_op, release_by_op);
-    }
-    ctx.result.passed = ok && ctx.result.violations.empty();
-    return ctx.result;
-  }
   if (star) {
-    ok = run_star_engines(ctx, ref_by_op, id_by_op, release_by_op);
+    ok = tt ? run_star_tt(ctx, ref_by_op, id_by_op, release_by_op)
+            : run_star_engines(ctx, ref_by_op, id_by_op, release_by_op);
   }
+  // Phase E: there is no multihop generalization of the TT gate synthesis.
   std::vector<core::MultihopChannel> fabric_channels;
-  if (ok) {
+  if (ok && !tt) {
     ok = run_multihop(ctx, ref_by_op, star ? nullptr : &fabric_channels);
   }
-  if (ok && star && spec.simulate && resolved.run_simulation) {
-    ok = run_simulation(ctx, ref_by_op, id_by_op, release_by_op);
-  }
-  if (ok && !star && spec.simulate && resolved.run_simulation) {
-    ok = run_simulation_fabric(ctx, fabric_channels);
+  if (ok && spec.simulate && resolved.run_simulation) {
+    ok = star ? run_simulation(ctx, ref_by_op, id_by_op, release_by_op)
+              : run_simulation_fabric(ctx, fabric_channels);
   }
   ctx.result.passed = ok && ctx.result.violations.empty();
   return ctx.result;

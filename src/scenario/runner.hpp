@@ -34,15 +34,15 @@
 ///      every frame exactly (sent == delivered + dropped), and post-reboot
 ///      re-registration is bit-identical to admitting the same channels on
 ///      a fresh controller.
-///   TT scenarios (`spec.scheme == "TT"`) swap the EDF engine battery for
-///   the time-triggered one: the reference `core::GateScheduleAdmission`
-///   runs the op stream with a per-accept placement audit (offsets in
-///   bounds, store-and-forward ordering, pairwise gcd-residue
-///   conflict-freedom), the "tt" `AdmissionBackend` must match it
-///   bit-identically, and the simulation phase installs the admitted gate
-///   tables into every transmitter and checks the scheme's own contract:
-///   zero misses *and zero delivery jitter* — every frame position's
-///   delivery delay is identical in every period.
+///   TT scenarios (`spec.scheme == "TT"`) run the same star pipeline with
+///   a different reference: `core::GateScheduleAdmission` runs the op
+///   stream with a per-accept placement audit (offsets in bounds,
+///   store-and-forward ordering, pairwise gcd-residue conflict-freedom),
+///   the "tt" `AdmissionBackend` must match it bit-identically, and the
+///   shared simulation phase also installs the admitted gate tables into
+///   every transmitter and adds the scheme's own contract on top of the
+///   survival one: zero delivery jitter — every frame position's delivery
+///   delay is identical in every period.
 ///
 ///   4. **Calculus cross-check** — every reference admission decision is
 ///      audited by the independent `analysis::CalculusOracle`: an accept

@@ -2,9 +2,10 @@
 
 /// @file best_effort.hpp
 /// Synthetic non-real-time (TCP-like) traffic. The paper's network carries
-/// ordinary TCP/IP alongside RT channels; this generator stands in for that
-/// stack (see DESIGN.md §3): it emits valid IPv4 frames with ToS 0 that take
-/// the FCFS path through every queue, at Poisson or on-off-burst arrivals.
+/// ordinary TCP/IP alongside RT channels (PAPER.md, "Design summary"); this
+/// generator stands in for that stack: it emits valid IPv4 frames with ToS 0
+/// that take the FCFS path through every queue, at Poisson or on-off-burst
+/// arrivals.
 
 #include <cstdint>
 #include <memory>

@@ -10,8 +10,8 @@
 /// partition p are the uplinks and downlinks of its local nodes plus the
 /// out-going trunks of switch p; a channel's frames ride
 /// uplink → trunk* → downlink with the *global* absolute deadline from the
-/// frame header as the EDF key on every switch hop (DESIGN.md, "Per-hop
-/// EDF keys") and the admitted first-hop budget d_0 as the uplink key —
+/// frame header as the EDF key on every switch hop (see core/multihop.hpp)
+/// and the admitted first-hop budget d_0 as the uplink key —
 /// exactly the star semantics generalized to k hops.
 ///
 /// **Cut links.** A trunk p→q is the only coupling between partitions.

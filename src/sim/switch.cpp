@@ -107,7 +107,8 @@ void SimSwitch::forward(FrameIndex frame, NodeId from) {
         return;
       }
       // EDF key: the absolute end-to-end deadline carried in the IP header
-      // (release + d_i) — see DESIGN.md "Per-hop EDF keys".
+      // (release + d_i) — the per-hop key of core/multihop.hpp's soundness
+      // argument.
       const Tick key = info.rt_tag->absolute_deadline;
       port(*dst).enqueue_rt(key, frame);
       return;

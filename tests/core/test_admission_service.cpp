@@ -569,21 +569,5 @@ TEST(AdmissionService, CallbackStormFiresOnceAndStaysBitIdentical) {
   }
 }
 
-TEST(AdmissionService, DeprecatedReleaseOkWrappersStillWork) {
-  // One-release compatibility shims on the pre-backend entry points.
-  AdmissionController controller(4, make_partitioner("SDPS"));
-  const auto outcome = controller.request(spec(0, 1, 100, 2, 40));
-  ASSERT_TRUE(outcome.has_value());
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // This test exists to keep the deprecated wrappers behaving until
-  // their removal release.
-  // LINT-WAIVE(deprecated-release): coverage of the deprecated shim itself.
-  EXPECT_FALSE(controller.release_ok(ChannelId{999}));
-  // LINT-WAIVE(deprecated-release): same compatibility coverage as above.
-  EXPECT_TRUE(controller.release_ok(outcome->id));
-#pragma GCC diagnostic pop
-}
-
 }  // namespace
 }  // namespace rtether::core
