@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "common/random.hpp"
 #include "core/admission.hpp"
@@ -31,8 +33,11 @@ struct SchemeCase {
   const char* name;
 };
 
+// The scheme is a std::string, not a const char*: gtest prints a pointer
+// parameter by its address, and gtest_discover_tests copies that printout
+// into the ctest name, so every build would register different names.
 class PartitionProperties
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 INSTANTIATE_TEST_SUITE_P(
