@@ -5,8 +5,8 @@
 /// Where S2 (bench_admission_parallel) measures one big fork/join batch,
 /// this bench measures the *service* shape the paper's switch actually
 /// runs: channels are requested and torn down continuously, and the
-/// dispatcher/worker pipeline must sustain throughput without batch
-/// boundaries. The workload is the same industrial one — machine cells
+/// dispatcher must sustain throughput from whatever bursts the ingest ring
+/// delivers, each decided through S2's sharded engine. The workload is the same industrial one — machine cells
 /// whose traffic stays inside the cell — so the link-conflict graph shards
 /// one component per cell; releases target channels admitted well in the
 /// past, the steady-state churn of a running plant.
@@ -46,8 +46,8 @@ namespace {
 constexpr const char* kScheme = "ADPS";
 
 /// Releases only target channels admitted at least this many ops earlier,
-/// so steady-state churn does not degenerate into release-hazard stalls
-/// (releasing an ID the dispatcher has not yet retired).
+/// so steady-state churn does not degenerate into batch cuts (a release of
+/// an ID admitted in the same engine batch cuts the batch there).
 constexpr std::size_t kReleaseAge = 2048;
 
 struct ChurnStream {
@@ -248,8 +248,8 @@ int main(int argc, char** argv) {
   const unsigned hardware = std::thread::hardware_concurrency();
 
   std::puts("================================================================");
-  std::puts("Scaling S4 — resident admission service: dispatcher + shard");
-  std::puts("workers vs the single-threaded batched engine, mixed churn");
+  std::puts("Scaling S4 — resident admission service: dispatcher + engine");
+  std::puts("worker pool vs the single-threaded batched engine, mixed churn");
   std::puts("================================================================");
   std::printf("workers: %u (hardware: %u)\n\n", workers, hardware);
 
@@ -381,11 +381,11 @@ int main(int argc, char** argv) {
               min_inline_ratio,
               inline_gate_enforced ? "enforced"
                                    : "reported only on reduced runs");
-  std::puts("reading: the resident pipeline decides feasibility on shard");
-  std::puts("workers against component-local state and retires decisions in");
-  std::puts("dispatch order, so continuous churn scales like S2's batches");
-  std::puts("while keeping outcomes bit-identical to the sequential");
-  std::puts("controller.\n");
+  std::puts("reading: the resident dispatcher runs each ingest burst through");
+  std::puts("S2's sharded engine (releases of live channels decided in their");
+  std::puts("component's shard) and completes tickets in dequeue order, so");
+  std::puts("continuous churn scales like S2's batches while keeping outcomes");
+  std::puts("bit-identical to the sequential controller.\n");
 
   if (!json.write_file(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());

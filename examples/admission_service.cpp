@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   const std::string kind = argc > 1 ? argv[1] : "service";
 
   // 1. An 8-node star switch under SDPS, fronted by the chosen backend.
-  //    The service kind keeps a dispatcher and two shard workers resident.
+  //    The service kind keeps a dispatcher and a two-thread engine pool
+  //    resident.
   BackendConfig config;
   config.threads = 2;
   auto backend = make_admission_backend(

@@ -9,8 +9,8 @@ Token-level static checks for invariants the compiler cannot express:
   hot-path-virtual       no virtual dispatch in the hot path
   lock-free-path         no mutex/condvar types in lock-free files
                          (`MpscQueue`, the SPSC cut-link channel, the
-                         admission-service dispatcher, the shard-worker
-                         feasibility path)
+                         admission-service ingest/ticket path, the
+                         shard-worker feasibility path)
   nodiscard-expected     every `Expected`-returning public API declaration in
                          a header is `[[nodiscard]]`
 
@@ -68,8 +68,10 @@ HOT_PATH_FILES = [
 ]
 
 # Files whose lock-freedom is a documented hard invariant: the Vyukov MPSC
-# ring + eventcount transport, the admission-service dispatcher/reorder
-# buffer, and the shard-worker feasibility path.
+# ring + eventcount transport, the SPSC cut-link channel, the admission
+# service's ingest/ticket path (producers never block on a lock; the
+# dispatcher's only blocking point inside a burst is the engine pool's
+# fork-join), and the shard-worker feasibility path.
 LOCK_FREE_FILES = [
     "src/common/mpsc_queue.hpp",
     "src/common/spsc_channel.hpp",

@@ -1,8 +1,9 @@
 #pragma once
 
 /// @file mpsc_queue.hpp
-/// Lock-free bounded op queue + eventcount parking, the transport layer of
-/// `core::AdmissionService`. Two pieces:
+/// Lock-free bounded op queue + eventcount parking, the ingest ring of
+/// `core::AdmissionService` (many producers, one dispatcher that takes each
+/// burst of queued ops into its admission engine). Two pieces:
 ///
 ///   * `Eventcount` — a futex-backed condition without a mutex. Waiters
 ///     follow the prepare/recheck/wait protocol; notifiers pay two relaxed
@@ -93,9 +94,9 @@ class MpscQueue {
  public:
   /// `consumer_wake` (optional) is notified after every successful push —
   /// the hook that lets one consumer park on a single eventcount covering
-  /// several wake sources (e.g. the service dispatcher watching both its
-  /// ingest ring and the reorder buffer). The internal eventcount is
-  /// notified as well and backs the plain blocking `pop`.
+  /// several wake sources (several rings, or a ring plus a completion
+  /// flag). The internal eventcount is notified as well and backs the
+  /// plain blocking `pop`.
   explicit MpscQueue(std::size_t capacity, Eventcount* consumer_wake = nullptr)
       : consumer_wake_(consumer_wake) {
     std::size_t cap = 2;

@@ -4,9 +4,10 @@
 /// A fixed-size worker pool with a plain FIFO work queue. The parallel
 /// admission engine shards work by egress link and needs (a) a stable set of
 /// workers whose count is an explicit tuning knob (pinning a switch's
-/// admission service to N cores), and (b) a fork-join primitive that hands
-/// out shard indices and blocks the caller until every shard completed —
-/// `parallel_for_shards`. Nothing here is clever on purpose: mutex + two
+/// admission service to N cores), and (b) fork-join: `parallel_for_shards`
+/// hands out shard indices and blocks the caller until every shard
+/// completed, and `submit` plus `wait_idle` let a caller that claims work
+/// itself join a private pool. Nothing here is clever on purpose: mutex + two
 /// condition variables, no lock-free structures, so the behaviour under
 /// ThreadSanitizer is exactly the behaviour in production — and the mutex
 /// protocol is Clang thread-safety annotated, so `-Wthread-safety` proves

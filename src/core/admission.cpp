@@ -509,6 +509,31 @@ BatchResult AdmissionEngine::admit_batch(
   return result;
 }
 
+ChurnResult AdmissionEngine::process(std::span<const ChannelOp> ops) {
+  ChurnResult result;
+  std::vector<ChannelRequest> run;
+  auto flush = [&] {
+    if (run.empty()) {
+      return;
+    }
+    BatchResult batch = admit_batch(run);
+    for (auto& outcome : batch.outcomes) {
+      result.admissions.push_back(std::move(outcome));
+    }
+    run.clear();
+  };
+  for (const ChannelOp& op : ops) {
+    if (op.kind == ChannelOp::Kind::kAdmit) {
+      run.push_back(ChannelRequest{op.spec});
+    } else {
+      flush();
+      result.releases.push_back(release(op.id));
+    }
+  }
+  flush();
+  return result;
+}
+
 ReleaseOutcome AdmissionEngine::release(ChannelId id) {
   const auto channel =
       admission_internal::release_channel(state_, ids_, stats_, id);

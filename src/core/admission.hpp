@@ -149,8 +149,9 @@ struct BatchResult {
 };
 
 /// One step of a mixed admit/release stream — the op vocabulary shared by
-/// `AdmissionBackend::submit`, `ParallelAdmissionEngine::process` and the
-/// `AdmissionService` ingest ring.
+/// `AdmissionBackend::submit`, `AdmissionEngine::process`,
+/// `ParallelAdmissionEngine::process` and the `AdmissionService` ingest
+/// ring.
 struct ChannelOp {
   enum class Kind : std::uint8_t { kAdmit, kRelease };
 
@@ -188,7 +189,7 @@ struct ChurnResult {
 
 /// Which execution structure an admission component should use for a given
 /// workload shape. One policy point shared by `ParallelAdmissionEngine`
-/// (per `admit_batch` call) and `AdmissionService` (at construction), so
+/// (per batch) and `AdmissionService` (at construction), so
 /// the fallback heuristics cannot drift between the two.
 enum class AdmissionPath : std::uint8_t {
   kSequential,  ///< in-order single-threaded engine path
@@ -247,6 +248,13 @@ class AdmissionEngine {
 
   /// Admits a batch. Results are 1:1 with `requests` in submission order.
   [[nodiscard]] BatchResult admit_batch(std::span<const ChannelRequest> requests);
+
+  /// Drives a mixed admit/release stream in order: each run of consecutive
+  /// admits goes through `admit_batch` (so the batch pre-pass stays in
+  /// play) and each release applies in place. The one churn loop shared by
+  /// the batched backend, the inline service and the parallel engine's
+  /// sequential fallback.
+  [[nodiscard]] ChurnResult process(std::span<const ChannelOp> ops);
 
   /// Releases an established channel (teardown); typed `kUnknownChannel`
   /// rejection if the ID is not live. O(affected links): the two link

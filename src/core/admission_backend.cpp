@@ -69,30 +69,7 @@ class BatchedBackend final : public AdmissionBackend {
   [[nodiscard]] std::string name() const override { return "batched"; }
 
   ChurnResult submit(std::span<const ChannelOp> ops) override {
-    // Runs of consecutive admits go through admit_batch so the batch
-    // pre-pass (per-link sort + one grid sizing) stays in play.
-    ChurnResult result;
-    std::vector<ChannelRequest> run;
-    auto flush = [&] {
-      if (run.empty()) {
-        return;
-      }
-      BatchResult batch = engine_.admit_batch(run);
-      for (auto& outcome : batch.outcomes) {
-        result.admissions.push_back(std::move(outcome));
-      }
-      run.clear();
-    };
-    for (const ChannelOp& op : ops) {
-      if (op.kind == ChannelOp::Kind::kAdmit) {
-        run.push_back(ChannelRequest{op.spec});
-      } else {
-        flush();
-        result.releases.push_back(engine_.release(op.id));
-      }
-    }
-    flush();
-    return result;
+    return engine_.process(ops);
   }
 
   [[nodiscard]] AdmitOutcome admit(const ChannelSpec& spec) override {
@@ -154,8 +131,6 @@ class ServiceBackend final : public AdmissionBackend {
                  const BackendConfig& config)
       : service_(node_count, std::move(partitioner),
                  AdmissionServiceConfig{config.admission, config.threads,
-                                        config.service_queue_capacity,
-                                        config.service_queue_capacity,
                                         config.service_queue_capacity}) {}
 
   [[nodiscard]] std::string name() const override { return "service"; }
@@ -186,7 +161,7 @@ class ServiceBackend final : public AdmissionBackend {
     return service_.partitioner();
   }
   void reset() override {
-    // The resident workers own shard state, so an in-place table wipe is
+    // The resident dispatcher owns the engine, so an in-place table wipe is
     // not available; releasing every live channel reaches the same empty
     // state and the same smallest-free ID allocator.
     service_.drain();

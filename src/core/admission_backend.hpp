@@ -1,14 +1,14 @@
 #pragma once
 
 /// @file admission_backend.hpp
-/// One front door for every admission implementation. The repo grew four
-/// entry points with four shapes — `AdmissionController::request`,
-/// `AdmissionEngine::admit_batch`, `ParallelAdmissionEngine::process` and
-/// the resident `AdmissionService` — all contractually bit-identical.
-/// `AdmissionBackend` fronts them with a single vocabulary (`ChannelOp` in,
-/// typed `Expected` outcomes out), so the scenario runner, the benches and
-/// the examples drive any implementation through the same code path, and
-/// conformance campaigns can diff backends pairwise without bespoke glue.
+/// One front door for every admission implementation. Four EDF kinds
+/// share one vocabulary (`ChannelOp` in, typed `Expected` outcomes out):
+/// the reference `AdmissionController`, the batched `AdmissionEngine`, the
+/// sharded `ParallelAdmissionEngine` and the resident `AdmissionService`
+/// (an async front over that same sharded engine) — all contractually
+/// bit-identical. The scenario runner, the benches and the examples drive
+/// any implementation through the same code path, and conformance
+/// campaigns can diff backends pairwise without bespoke glue.
 ///
 /// Synchronous `submit`/`admit`/`release` work on every backend; the async
 /// `submit_async → Ticket` surface is native on the service and emulated
@@ -35,12 +35,12 @@ class GateScheduleAdmission;
 /// applies to it.
 struct BackendConfig {
   AdmissionConfig admission{};
-  /// Worker threads for the parallel engine / shard workers for the
-  /// service. Ignored by the sequential kinds.
+  /// Worker threads for the parallel engine, and for the engine behind the
+  /// resident service. Ignored by the sequential kinds.
   unsigned threads{2};
   /// Minimum admit-run length before the parallel engine shards a batch.
   std::size_t min_parallel_batch{64};
-  /// Ingest/reorder-buffer depth for the service kind.
+  /// Ingest ring depth for the service kind.
   std::size_t service_queue_capacity{4096};
 };
 
@@ -101,9 +101,11 @@ class AdmissionBackend {
 
 /// Creates a backend:
 ///   "controller" — the reference `AdmissionController`, one op at a time;
-///   "batched"    — `AdmissionEngine`, runs of admits via `admit_batch`;
+///   "batched"    — `AdmissionEngine::process` (runs of admits via
+///                  `admit_batch`, releases in place);
 ///   "parallel"   — `ParallelAdmissionEngine::process`;
-///   "service"    — resident `AdmissionService` (native async);
+///   "service"    — resident `AdmissionService` (native async, bursts
+///                  through `ParallelAdmissionEngine::process`);
 ///   "tt"         — `GateScheduleAdmission`, the time-triggered rival
 ///                  scheme (gate-window synthesis instead of EDF demand
 ///                  bounds; decisions intentionally differ from the four

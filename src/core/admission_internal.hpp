@@ -2,12 +2,12 @@
 
 /// @file admission_internal.hpp
 /// Admission internals shared between `AdmissionEngine` (the sequential
-/// batched pipeline), `ParallelAdmissionEngine` (the fork-join sharded one)
-/// and `AdmissionService` (the resident sharded one). All must reach
-/// bit-identical decisions and diagnostics to the reference
-/// `AdmissionController`, so the candidate trial itself, every rejection
-/// string and the link-conflict partitioning primitives live in exactly one
-/// place. Not part of the public API surface.
+/// batched pipeline) and `ParallelAdmissionEngine` (the sharded one, which
+/// the resident `AdmissionService` also runs). Both must reach bit-identical
+/// decisions and diagnostics to the reference `AdmissionController`, so the
+/// candidate trial itself, every rejection string and the link-conflict
+/// partitioning primitives live in exactly one place. Not part of the
+/// public API surface.
 
 #include <cstddef>
 #include <cstdint>
@@ -83,10 +83,10 @@ void downdate_link_cache(edf::LinkScanCache& cache, const edf::TaskSet& set,
 [[nodiscard]] ReleaseOutcome make_release_outcome(bool released, ChannelId id);
 
 // ---------------------------------------------------------------------------
-// Link-conflict partitioning primitives, shared by the fork-join parallel
-// engine and the resident admission service. A channel occupies exactly two
-// link directions (source uplink, destination downlink); components of the
-// conflict graph over those keys can be admitted independently.
+// Link-conflict partitioning primitives of the parallel engine's shard
+// phase. A channel occupies exactly two link directions (source uplink,
+// destination downlink); components of the conflict graph over those keys
+// can be decided independently.
 
 /// Dense key for one link direction.
 [[nodiscard]] inline std::size_t link_key(NodeId node, LinkDirection dir) {
@@ -119,21 +119,19 @@ class LinkUnionFind {
     return k;
   }
 
-  /// Unites the two components; returns the surviving root (the larger
-  /// component's — callers migrating per-component state move the smaller
-  /// side). No-op returning the common root when already united.
-  std::uint32_t unite(std::size_t a, std::size_t b) {
+  /// Unites the two components (the smaller under the larger). No-op when
+  /// already united.
+  void unite(std::size_t a, std::size_t b) {
     std::uint32_t ra = find(a);
     std::uint32_t rb = find(b);
     if (ra == rb) {
-      return ra;
+      return;
     }
     if (size_[ra] < size_[rb]) {
       std::swap(ra, rb);
     }
     parent_[rb] = ra;
     size_[ra] += size_[rb];
-    return ra;
   }
 
  private:

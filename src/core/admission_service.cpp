@@ -1,11 +1,10 @@
 #include "core/admission_service.hpp"
 
-#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
-#include <string>
+#include <span>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,9 +12,7 @@
 #include "common/mpsc_queue.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
-#include "core/admission_internal.hpp"
-#include "core/id_allocator.hpp"
-#include "edf/feasibility.hpp"
+#include "core/parallel_admission.hpp"
 
 namespace rtether::core {
 
@@ -47,9 +44,6 @@ struct TicketState {
 }  // namespace service_detail
 
 using service_detail::TicketState;
-using admission_internal::key_direction;
-using admission_internal::key_node;
-using admission_internal::link_key;
 
 namespace {
 
@@ -140,145 +134,54 @@ Ticket Ticket::completed(ReleaseOutcome outcome) {
 // ---------------------------------------------------------------------------
 
 struct AdmissionService::Impl {
-  /// One op travelling through the ingest ring.
+  /// One op travelling through the ingest ring. A null ticket is the
+  /// destructor's stop marker, queued behind every op a producer submitted.
   struct IngestOp {
     ChannelOp op{};
     std::shared_ptr<TicketState> ticket;
   };
 
-  /// One component changing owners: the exporting worker fills the state
-  /// vectors (indexed 1:1 with `keys`), publishes `ready`, and the
-  /// importing worker installs them. Both sides reach the migration in
-  /// dispatch order, and a worker only ever waits for an *export* that was
-  /// enqueued before its own import — the waits-for graph is acyclic.
-  struct Migration {
-    std::vector<std::size_t> keys;
-    std::vector<edf::TaskSet> link_sets;
-    std::vector<edf::LinkScanCache> caches;
-    std::vector<RtChannel> channels;
-    std::atomic<bool> ready{false};
-    Eventcount ready_event;
-  };
-
-  struct WorkerMsg {
-    enum class Kind : std::uint8_t { kAdmit, kRelease, kExport, kImport, kStop };
-    Kind kind{Kind::kStop};
-    std::size_t slot{0};  // ROB index for kAdmit/kRelease
-    std::shared_ptr<Migration> migration;
-  };
-
-  /// One reorder-buffer entry. The dispatcher fills the op fields before
-  /// routing, a worker fills the verdict fields before release-storing
-  /// `decided`, and the dispatcher retires entries strictly in dispatch
-  /// order — out-of-order execute, in-order retire.
-  struct RobSlot {
-    enum class Kind : std::uint8_t { kImmediate, kShardAdmit, kShardRelease };
-
-    std::atomic<bool> decided{false};
-    Kind kind{Kind::kImmediate};
-    std::shared_ptr<TicketState> ticket;
-    // Dispatcher-written op payload.
-    ChannelSpec spec{};
-    ChannelId placeholder{};
-    ChannelId release_id{};
-    // Worker-written verdict.
-    bool accepted{false};
-    DeadlinePartition partition{};
-    RejectReason reason{RejectReason::kUplinkInfeasible};
-    std::string detail;
-    std::uint64_t feasibility_tests{0};
-    std::uint64_t demand_evaluations{0};
-    // Dispatcher-decided verdicts (validation, exhaustion, unknown release).
-    std::optional<AdmitOutcome> immediate_admit;
-    std::optional<ReleaseOutcome> immediate_release;
-  };
-
-  struct Worker {
-    explicit Worker(std::size_t queue_capacity) : queue(queue_capacity) {}
-    MpscQueue<WorkerMsg> queue;
-    std::thread thread;
-  };
-
-  struct LiveRec {
-    ChannelId placeholder{};
-    ChannelSpec spec{};
-  };
-
-  // -- construction-time configuration ------------------------------------
+  // -- construction-time configuration (immutable afterwards) --------------
   AdmissionServiceConfig config;
-  std::uint32_t node_count;
   Mode mode;
-  std::unique_ptr<DeadlinePartitioner> partitioner;  // resident mode
-  std::optional<AdmissionEngine> inline_engine;      // inline mode
+  const DeadlinePartitioner* partitioner{nullptr};
+  std::optional<AdmissionEngine> inline_engine;  // inline mode
   std::uint64_t inline_seq{0};
 
   // -- cross-thread signalling ---------------------------------------------
-  /// The dispatcher's single park point: notified by ingest pushes (via the
-  /// queue's consumer-wake hook) and by workers publishing verdicts.
-  Eventcount progress;
   std::optional<MpscQueue<IngestOp>> ingest;
-  std::vector<std::unique_ptr<Worker>> workers;
   std::thread dispatcher;
-  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> retired_published{0};
   Eventcount retired_event;
-  std::atomic<std::uint64_t> migration_count{0};
 
   // -- dispatcher-owned state (no locks: one thread) -----------------------
   // `dispatcher_role` is a zero-cost capability (common/sync.hpp): the
   // dispatcher thread holds it for its lifetime, every function touching
   // the fields below is REQUIRES(dispatcher_role), and Clang
-  // `-Wthread-safety` statically proves no worker or producer code path can
-  // reach them. `rob` itself is deliberately *not* guarded — slot payloads
-  // are handed to workers under the per-slot `decided` release/acquire
-  // protocol documented on RobSlot.
+  // `-Wthread-safety` statically proves no producer code path can reach
+  // them.
   ThreadRole dispatcher_role;
-  std::vector<RobSlot> rob;
+  /// The resident engine: every ingest burst runs through its `process`,
+  /// which shards the burst across its pool of `config.workers` threads.
+  std::optional<ParallelAdmissionEngine> engine GUARDED_BY(dispatcher_role);
   std::uint64_t next_seq GUARDED_BY(dispatcher_role){0};
-  std::uint64_t retired GUARDED_BY(dispatcher_role){0};
-  std::uint64_t inflight_admits GUARDED_BY(dispatcher_role){0};
-  /// Authoritative mirror, updated in retire order.
-  NetworkState state GUARDED_BY(dispatcher_role);
-  AdmissionStats stats GUARDED_BY(dispatcher_role);
-  /// Real IDs, assigned in retire order.
-  ChannelIdAllocator ids GUARDED_BY(dispatcher_role);
-  /// Worker-visible provisional IDs.
-  ChannelIdAllocator placeholder_ids GUARDED_BY(dispatcher_role);
-  admission_internal::LinkUnionFind components GUARDED_BY(dispatcher_role);
-  std::vector<std::int32_t> owner_of_root GUARDED_BY(dispatcher_role);
-  std::vector<std::vector<std::uint32_t>> keys_of_root
-      GUARDED_BY(dispatcher_role);
-  std::vector<char> key_seen GUARDED_BY(dispatcher_role);
-  unsigned next_owner_rr GUARDED_BY(dispatcher_role){0};
-  std::unordered_map<ChannelId, LiveRec> live GUARDED_BY(dispatcher_role);
 
   Impl(std::uint32_t nodes, std::unique_ptr<DeadlinePartitioner> part,
        AdmissionServiceConfig cfg, Mode service_mode)
-      : config(cfg),
-        node_count(nodes),
-        mode(service_mode),
-        state(nodes),
-        components(std::size_t{nodes} * 2),
-        owner_of_root(std::size_t{nodes} * 2, -1),
-        keys_of_root(std::size_t{nodes} * 2),
-        key_seen(std::size_t{nodes} * 2, 0) {
+      : config(cfg), mode(service_mode) {
     if (mode == Mode::kInline) {
-      inline_engine.emplace(nodes, std::move(part), cfg.admission);
+      partitioner = &inline_engine.emplace(nodes, std::move(part),
+                                           cfg.admission)
+                         .partitioner();
       return;
     }
-    partitioner = std::move(part);
-    RTETHER_ASSERT_MSG(cfg.rob_capacity >= 1, "reorder buffer needs a slot");
-    rob = std::vector<RobSlot>(cfg.rob_capacity);
-    ingest.emplace(cfg.queue_capacity, &progress);
-    workers.reserve(cfg.workers);
-    for (unsigned w = 0; w < cfg.workers; ++w) {
-      workers.push_back(std::make_unique<Worker>(cfg.worker_queue_capacity));
-    }
-    for (unsigned w = 0; w < cfg.workers; ++w) {
-      workers[w]->thread =
-          std::thread([this, w] { worker_loop(*workers[w]); });
-    }
+    partitioner =
+        &engine
+             .emplace(nodes, std::move(part),
+                      ParallelAdmissionConfig{cfg.admission, cfg.workers})
+             .partitioner();
+    ingest.emplace(cfg.queue_capacity);
     dispatcher = std::thread([this] { dispatcher_loop(); });
   }
 
@@ -286,509 +189,57 @@ struct AdmissionService::Impl {
     if (mode == Mode::kInline) {
       return;
     }
-    stop.store(true, std::memory_order_release);
-    progress.notify();
+    ingest->push(IngestOp{});
     dispatcher.join();
-    for (auto& worker : workers) {
-      worker->thread.join();
-    }
   }
 
-  // ------------------------------------------------------------------ ROB
-
-  [[nodiscard]] std::uint64_t in_flight() const REQUIRES(dispatcher_role) {
-    return next_seq - retired;
-  }
-
-  [[nodiscard]] bool head_decided() REQUIRES(dispatcher_role) {
-    return in_flight() > 0 &&
-           rob[retired % rob.size()].decided.load(std::memory_order_acquire);
-  }
-
-  RobSlot& claim_slot(std::shared_ptr<TicketState> ticket,
-                      RobSlot::Kind kind) REQUIRES(dispatcher_role) {
-    RTETHER_ASSERT(in_flight() < rob.size());
-    const std::uint64_t seq = next_seq++;
-    RobSlot& slot = rob[seq % rob.size()];
-    slot.kind = kind;
-    slot.ticket = std::move(ticket);
-    slot.ticket->sequence = seq;
-    return slot;
-  }
-
-  void retire_slot(RobSlot& slot) REQUIRES(dispatcher_role) {
-    TicketState& ticket = *slot.ticket;
-    switch (slot.kind) {
-      case RobSlot::Kind::kImmediate:
-        if (ticket.kind == ChannelOp::Kind::kAdmit) {
-          ++stats.requested;
-          ++stats.rejected;
-          ticket.admit = std::move(slot.immediate_admit);
-        } else {
-          // An unknown-channel release: the sequential controller counts
-          // nothing for it, and neither do we.
-          ticket.release = std::move(slot.immediate_release);
-        }
-        break;
-      case RobSlot::Kind::kShardAdmit: {
-        RTETHER_ASSERT(inflight_admits > 0);
-        --inflight_admits;
-        ++stats.requested;
-        stats.feasibility_tests += slot.feasibility_tests;
-        stats.demand_evaluations += slot.demand_evaluations;
-        if (slot.accepted) {
-          // The real ID is assigned here, in retire order. The allocator's
-          // observable behaviour is a pure function of the live ID set, so
-          // this matches the sequential controller ID-for-ID.
-          const auto id = ids.allocate();
-          RTETHER_ASSERT_MSG(id.has_value(),
-                             "exhaustion hazard let an admit through");
-          ++stats.accepted;
-          const RtChannel channel{*id, slot.spec, slot.partition};
-          state.add_channel(channel);
-          live.emplace(*id, LiveRec{slot.placeholder, slot.spec});
-          ticket.admit.emplace(channel);
-        } else {
-          placeholder_ids.release(slot.placeholder);
-          ++stats.rejected;
-          ticket.admit.emplace(Unexpected(
-              Rejection{slot.reason, std::move(slot.detail)}));
-        }
-        break;
-      }
-      case RobSlot::Kind::kShardRelease: {
-        const bool removed = state.remove_channel(slot.release_id);
-        RTETHER_ASSERT_MSG(removed, "retired release of unknown channel");
-        ids.release(slot.release_id);
-        ++stats.released;
-        ticket.release.emplace(slot.release_id);
-        break;
-      }
-    }
-    complete(ticket);
-    slot.ticket.reset();
-    slot.detail.clear();
-    slot.immediate_admit.reset();
-    slot.immediate_release.reset();
-    slot.decided.store(false, std::memory_order_relaxed);
-  }
-
-  bool retire_ready() REQUIRES(dispatcher_role) {
-    bool any = false;
-    while (head_decided()) {
-      retire_slot(rob[retired % rob.size()]);
-      ++retired;
-      any = true;
-    }
-    if (any) {
-      retired_published.store(retired, std::memory_order_release);
-      retired_event.notify();
-    }
-    return any;
-  }
-
-  /// Dispatcher-side stall: retire whatever is ready, park otherwise, until
-  /// `cond` holds. Used for ROB-full backpressure and the two hazards
-  /// (release of a maybe-in-flight ID, ID-space headroom).
-  template <typename Cond>
-  void stall_until(Cond&& cond) REQUIRES(dispatcher_role) {
-    while (!cond()) {
-      if (retire_ready()) {
-        continue;
-      }
-      const auto ticket = progress.prepare_wait();
-      if (cond() || head_decided()) {
-        progress.cancel_wait();
-        continue;
-      }
-      progress.wait(ticket);
-    }
-  }
-
-  // ------------------------------------------------------------- routing
-
-  [[nodiscard]] unsigned owner_of(std::uint32_t root) REQUIRES(dispatcher_role) {
-    std::int32_t owner = owner_of_root[root];
-    if (owner < 0) {
-      owner = static_cast<std::int32_t>(next_owner_rr++ % workers.size());
-      owner_of_root[root] = owner;
-    }
-    return static_cast<unsigned>(owner);
-  }
-
-  void touch_key(std::size_t key) REQUIRES(dispatcher_role) {
-    if (key_seen[key] == 0) {
-      key_seen[key] = 1;
-      // A never-touched key is still its own singleton root.
-      keys_of_root[components.find(key)].push_back(
-          static_cast<std::uint32_t>(key));
-    }
-  }
-
-  /// Routes an admit to the worker owning its conflict component, uniting
-  /// the two link keys' components first. When the two components are
-  /// owned by *different* workers, the absorbed (smaller) side's state
-  /// migrates to the surviving side's owner: an export is enqueued to the
-  /// old owner and an import to the new one, in dispatch order, before the
-  /// admit itself.
-  [[nodiscard]] unsigned route_admit(const ChannelSpec& spec)
+  /// Decides one burst through the engine and completes its tickets in
+  /// dequeue order.
+  void run_burst(std::span<const ChannelOp> ops,
+                 std::span<const std::shared_ptr<TicketState>> tickets)
       REQUIRES(dispatcher_role) {
-    const std::size_t up_key = link_key(spec.source, LinkDirection::kUplink);
-    const std::size_t down_key =
-        link_key(spec.destination, LinkDirection::kDownlink);
-    touch_key(up_key);
-    touch_key(down_key);
-    const std::uint32_t up_root = components.find(up_key);
-    const std::uint32_t down_root = components.find(down_key);
-    if (up_root == down_root) {
-      return owner_of(up_root);
-    }
-    const std::int32_t up_owner = owner_of_root[up_root];
-    const std::int32_t down_owner = owner_of_root[down_root];
-    const std::uint32_t surviving = components.unite(up_key, down_key);
-    const std::uint32_t absorbed = surviving == up_root ? down_root : up_root;
-    if (up_owner >= 0 && down_owner >= 0 && up_owner != down_owner) {
-      const std::int32_t dest =
-          surviving == up_root ? up_owner : down_owner;
-      const std::int32_t source =
-          surviving == up_root ? down_owner : up_owner;
-      auto migration = std::make_shared<Migration>();
-      migration->keys.assign(keys_of_root[absorbed].begin(),
-                             keys_of_root[absorbed].end());
-      workers[static_cast<unsigned>(source)]->queue.push(
-          WorkerMsg{WorkerMsg::Kind::kExport, 0, migration});
-      workers[static_cast<unsigned>(dest)]->queue.push(
-          WorkerMsg{WorkerMsg::Kind::kImport, 0, std::move(migration)});
-      migration_count.fetch_add(1, std::memory_order_relaxed);
-      owner_of_root[surviving] = dest;
-    } else {
-      owner_of_root[surviving] =
-          up_owner >= 0 ? up_owner : down_owner;  // may stay -1
-    }
-    auto& into = keys_of_root[surviving];
-    auto& from = keys_of_root[absorbed];
-    into.insert(into.end(), from.begin(), from.end());
-    from.clear();
-    return owner_of(surviving);
-  }
-
-  // ------------------------------------------------------------ dispatch
-
-  void dispatch_admit(const ChannelSpec& spec,
-                      std::shared_ptr<TicketState> ticket)
-      REQUIRES(dispatcher_role) {
-    // Validation order mirrors admission_flow: spec, nodes, ID headroom.
-    if (!spec.valid()) {
-      RobSlot& slot = claim_slot(std::move(ticket), RobSlot::Kind::kImmediate);
-      slot.immediate_admit.emplace(
-          Unexpected(Rejection{RejectReason::kInvalidSpec,
-                               admission_internal::invalid_spec_detail(spec)}));
-      slot.decided.store(true, std::memory_order_release);
-      return;
-    }
-    if (!state.node_exists(spec.source) ||
-        !state.node_exists(spec.destination)) {
-      RobSlot& slot = claim_slot(std::move(ticket), RobSlot::Kind::kImmediate);
-      slot.immediate_admit.emplace(Unexpected(
-          Rejection{RejectReason::kUnknownNode, spec.to_string()}));
-      slot.decided.store(true, std::memory_order_release);
-      return;
-    }
-    if (live.size() + inflight_admits >= ChannelIdAllocator::kCapacity) {
-      // Headroom hazard: whether this op sees an exhausted allocator
-      // depends on in-flight verdicts, so drain them before deciding.
-      stall_until([this] { return inflight_admits == 0; });
-      if (live.size() >= ChannelIdAllocator::kCapacity) {
-        RobSlot& slot =
-            claim_slot(std::move(ticket), RobSlot::Kind::kImmediate);
-        slot.immediate_admit.emplace(Unexpected(Rejection{
-            RejectReason::kChannelIdsExhausted, spec.to_string()}));
-        slot.decided.store(true, std::memory_order_release);
-        return;
+    ChurnResult churn = engine->process(ops);
+    std::size_t admit = 0;
+    std::size_t release = 0;
+    for (const auto& ticket : tickets) {
+      if (ticket->kind == ChannelOp::Kind::kAdmit) {
+        ticket->admit.emplace(std::move(churn.admissions[admit++]));
+      } else {
+        ticket->release.emplace(std::move(churn.releases[release++]));
       }
+      complete(*ticket);
     }
-    const auto placeholder = placeholder_ids.allocate();
-    RTETHER_ASSERT_MSG(placeholder.has_value(),
-                       "placeholder space exceeds the headroom guard");
-    const unsigned worker = route_admit(spec);
-    RobSlot& slot = claim_slot(std::move(ticket), RobSlot::Kind::kShardAdmit);
-    slot.spec = spec;
-    slot.placeholder = *placeholder;
-    const std::size_t slot_index = (next_seq - 1) % rob.size();
-    ++inflight_admits;
-    workers[worker]->queue.push(
-        WorkerMsg{WorkerMsg::Kind::kAdmit, slot_index, nullptr});
-  }
-
-  void dispatch_release(ChannelId id, std::shared_ptr<TicketState> ticket)
-      REQUIRES(dispatcher_role) {
-    auto it = live.find(id);
-    if (it == live.end() && inflight_admits > 0) {
-      // The ID may belong to an admit still executing; in the sequential
-      // order that admit precedes us, so its verdict must land first.
-      stall_until(
-          [&] { return live.contains(id) || inflight_admits == 0; });
-      it = live.find(id);
-    }
-    if (it == live.end()) {
-      RobSlot& slot = claim_slot(std::move(ticket), RobSlot::Kind::kImmediate);
-      slot.immediate_release.emplace(
-          admission_internal::make_release_outcome(false, id));
-      slot.decided.store(true, std::memory_order_release);
-      return;
-    }
-    const LiveRec rec = it->second;
-    live.erase(it);
-    // Safe to recycle now: any admit reusing this placeholder is enqueued
-    // after this release on every worker queue that can see it.
-    placeholder_ids.release(rec.placeholder);
-    const unsigned worker = owner_of(
-        components.find(link_key(rec.spec.source, LinkDirection::kUplink)));
-    RobSlot& slot = claim_slot(std::move(ticket), RobSlot::Kind::kShardRelease);
-    slot.spec = rec.spec;
-    slot.placeholder = rec.placeholder;
-    slot.release_id = id;
-    const std::size_t slot_index = (next_seq - 1) % rob.size();
-    workers[worker]->queue.push(
-        WorkerMsg{WorkerMsg::Kind::kRelease, slot_index, nullptr});
+    retired_published.store(next_seq, std::memory_order_release);
+    retired_event.notify();
   }
 
   void dispatcher_loop() {
-    // The dispatcher thread owns the retire-order state for its lifetime.
+    // The dispatcher thread owns the engine for its lifetime.
     ThreadRoleGuard role(dispatcher_role);
-    for (;;) {
-      bool progressed = retire_ready();
-      IngestOp in;
-      // Batch-aware dispatch: route the whole ingest burst first, then let
-      // one retire pass below complete every decided op — shard verdicts
-      // that land while later ops are being routed retire together on this
-      // wakeup instead of op-at-a-time (stalls inside dispatch_* still
-      // retire opportunistically while they wait).
-      while (in_flight() < rob.size() && ingest->try_pop(in)) {
+    std::vector<ChannelOp> ops;
+    std::vector<std::shared_ptr<TicketState>> tickets;
+    IngestOp in;
+    for (bool running = true; running;) {
+      // Park for the first op, then take whatever else is already queued
+      // (up to one ring's worth) into the same engine batch.
+      ingest->pop(in);
+      do {
+        if (in.ticket == nullptr) {
+          running = false;
+          break;
+        }
         // This dequeue is the op's linearization point.
-        if (in.op.kind == ChannelOp::Kind::kAdmit) {
-          dispatch_admit(in.op.spec, std::move(in.ticket));
-        } else {
-          dispatch_release(in.op.id, std::move(in.ticket));
-        }
-        progressed = true;
-      }
-      progressed |= retire_ready();
-      if (in_flight() >= rob.size()) {
-        stall_until([this] { return in_flight() < rob.size(); });
-        continue;
-      }
-      if (progressed) {
-        continue;
-      }
-      if (stop.load(std::memory_order_acquire) && ingest->empty() &&
-          in_flight() == 0) {
-        break;
-      }
-      const auto ticket = progress.prepare_wait();
-      if (!ingest->empty() || head_decided() ||
-          stop.load(std::memory_order_acquire)) {
-        progress.cancel_wait();
-        continue;
-      }
-      progress.wait(ticket);
-    }
-    for (auto& worker : workers) {
-      worker->queue.push(WorkerMsg{WorkerMsg::Kind::kStop, 0, nullptr});
-    }
-  }
-
-  // ------------------------------------------------------------- workers
-
-  void worker_admit(NetworkState& local,
-                    std::unordered_map<std::size_t, edf::LinkScanCache>& caches,
-                    RobSlot& slot) {
-    const ChannelSpec spec = slot.spec;
-    const std::size_t up_key = link_key(spec.source, LinkDirection::kUplink);
-    const std::size_t down_key =
-        link_key(spec.destination, LinkDirection::kDownlink);
-    caches.try_emplace(up_key);
-    caches.try_emplace(down_key);
-    edf::LinkScanCache& up_cache = caches.find(up_key)->second;
-    edf::LinkScanCache& down_cache = caches.find(down_key)->second;
-
-    const auto candidates = partitioner->candidates(spec, local);
-    RTETHER_ASSERT_MSG(!candidates.empty(), "DPS returned no candidates");
-    AdmissionStats scratch;
-    RejectReason reason = RejectReason::kUplinkInfeasible;
-    std::string detail;
-    bool accepted = false;
-    for (const auto& candidate : candidates) {
-      RTETHER_ASSERT_MSG(candidate.satisfies(spec),
-                         "DPS candidate violates Eq 18.8/18.9");
-      if (admission_internal::cached_candidate_test(
-              local, up_cache, down_cache, scratch, spec, slot.placeholder,
-              candidate, reason, detail)) {
-        accepted = true;
-        slot.partition = candidate;
-        break;
-      }
-    }
-    slot.accepted = accepted;
-    if (!accepted) {
-      slot.reason = reason;
-      slot.detail = std::move(detail);
-    }
-    slot.feasibility_tests = scratch.feasibility_tests;
-    slot.demand_evaluations = scratch.demand_evaluations;
-    slot.decided.store(true, std::memory_order_release);
-    progress.notify();
-  }
-
-  void worker_release(
-      NetworkState& local,
-      std::unordered_map<std::size_t, edf::LinkScanCache>& caches,
-      RobSlot& slot) {
-    const auto channel = local.find_channel(slot.placeholder);
-    RTETHER_ASSERT_MSG(channel.has_value(), "release routed to wrong shard");
-    const bool removed = local.remove_channel(slot.placeholder);
-    RTETHER_ASSERT(removed);
-    const auto up = caches.find(
-        link_key(channel->spec.source, LinkDirection::kUplink));
-    RTETHER_ASSERT(up != caches.end());
-    admission_internal::downdate_link_cache(
-        up->second,
-        local.link(channel->spec.source, LinkDirection::kUplink),
-        {channel->id, channel->spec.period, channel->spec.capacity,
-         channel->partition.uplink},
-        config.admission.release);
-    const auto down = caches.find(
-        link_key(channel->spec.destination, LinkDirection::kDownlink));
-    RTETHER_ASSERT(down != caches.end());
-    admission_internal::downdate_link_cache(
-        down->second,
-        local.link(channel->spec.destination, LinkDirection::kDownlink),
-        {channel->id, channel->spec.period, channel->spec.capacity,
-         channel->partition.downlink},
-        config.admission.release);
-    slot.decided.store(true, std::memory_order_release);
-    progress.notify();
-  }
-
-  void worker_export(
-      NetworkState& local,
-      std::unordered_map<std::size_t, edf::LinkScanCache>& caches,
-      Migration& migration) {
-    migration.link_sets.reserve(migration.keys.size());
-    migration.caches.reserve(migration.keys.size());
-    for (const std::size_t key : migration.keys) {
-      migration.link_sets.push_back(
-          local.take_link(key_node(key), key_direction(key)));
-      if (const auto it = caches.find(key); it != caches.end()) {
-        migration.caches.push_back(std::move(it->second));
-        caches.erase(it);
-      } else {
-        migration.caches.emplace_back();
-      }
-    }
-    // A channel's two links always share a component, so the moving task
-    // sets name exactly the channels that move (each once per link).
-    for (const edf::TaskSet& set : migration.link_sets) {
-      for (const edf::PseudoTask& task : set.tasks()) {
-        if (const auto channel = local.find_channel(task.channel)) {
-          migration.channels.push_back(*channel);
-          local.forget_channel(task.channel);
-        }
-      }
-    }
-    migration.ready.store(true, std::memory_order_release);
-    migration.ready_event.notify();
-  }
-
-  void worker_import(
-      NetworkState& local,
-      std::unordered_map<std::size_t, edf::LinkScanCache>& caches,
-      Migration& migration) {
-    while (!migration.ready.load(std::memory_order_acquire)) {
-      const auto ticket = migration.ready_event.prepare_wait();
-      if (migration.ready.load(std::memory_order_acquire)) {
-        migration.ready_event.cancel_wait();
-        break;
-      }
-      migration.ready_event.wait(ticket);
-    }
-    for (std::size_t i = 0; i < migration.keys.size(); ++i) {
-      const std::size_t key = migration.keys[i];
-      local.adopt_link(key_node(key), key_direction(key),
-                       std::move(migration.link_sets[i]));
-      caches[key] = std::move(migration.caches[i]);
-    }
-    for (const RtChannel& channel : migration.channels) {
-      local.adopt_channel(channel);
-    }
-  }
-
-  void worker_loop(Worker& self) {
-    NetworkState local(node_count);
-    std::unordered_map<std::size_t, edf::LinkScanCache> caches;
-    std::vector<WorkerMsg> burst;
-    std::unordered_map<std::size_t, std::vector<ChannelSpec>> burst_specs;
-    constexpr std::size_t kMaxBurst = 256;
-    for (;;) {
-      WorkerMsg msg;
-      self.queue.pop(msg);
-      if (msg.kind == WorkerMsg::Kind::kStop) {
-        return;
-      }
-      burst.clear();
-      burst.push_back(std::move(msg));
-      bool plain = burst.back().kind == WorkerMsg::Kind::kAdmit ||
-                   burst.back().kind == WorkerMsg::Kind::kRelease;
-      WorkerMsg more;
-      while (plain && burst.size() < kMaxBurst && self.queue.try_pop(more)) {
-        plain = more.kind == WorkerMsg::Kind::kAdmit ||
-                more.kind == WorkerMsg::Kind::kRelease;
-        burst.push_back(std::move(more));
-      }
-      if (plain && burst.size() > 1) {
-        // Batch pre-pass, as in AdmissionEngine::admit_batch: size each
-        // touched cache's checkpoint grid once for the whole burst. Pure
-        // throughput — grids never affect verdicts.
-        burst_specs.clear();
-        for (const WorkerMsg& item : burst) {
-          if (item.kind != WorkerMsg::Kind::kAdmit) {
-            continue;
-          }
-          const ChannelSpec& spec = rob[item.slot].spec;
-          burst_specs[link_key(spec.source, LinkDirection::kUplink)]
-              .push_back(spec);
-          burst_specs[link_key(spec.destination, LinkDirection::kDownlink)]
-              .push_back(spec);
-        }
-        for (const auto& [key, specs] : burst_specs) {
-          admission_internal::reserve_link_horizon(
-              local.link(key_node(key), key_direction(key)), caches[key],
-              specs);
-        }
-      }
-      for (WorkerMsg& item : burst) {
-        switch (item.kind) {
-          case WorkerMsg::Kind::kAdmit:
-            worker_admit(local, caches, rob[item.slot]);
-            break;
-          case WorkerMsg::Kind::kRelease:
-            worker_release(local, caches, rob[item.slot]);
-            break;
-          case WorkerMsg::Kind::kExport:
-            worker_export(local, caches, *item.migration);
-            break;
-          case WorkerMsg::Kind::kImport:
-            worker_import(local, caches, *item.migration);
-            break;
-          case WorkerMsg::Kind::kStop:
-            RTETHER_ASSERT_MSG(false, "stop cannot arrive mid-burst");
-            return;
-        }
+        in.ticket->sequence = next_seq++;
+        ops.push_back(in.op);
+        tickets.push_back(std::move(in.ticket));
+      } while (ops.size() < config.queue_capacity && ingest->try_pop(in));
+      if (!ops.empty()) {
+        run_burst(ops, tickets);
+        ops.clear();
+        tickets.clear();
       }
     }
   }
-
-  // ------------------------------------------------------------ frontend
 
   Ticket submit_async(const ChannelOp& op) {
     auto ticket_state = std::make_shared<TicketState>();
@@ -829,8 +280,8 @@ struct AdmissionService::Impl {
 namespace {
 
 AdmissionService::Mode select_service_mode(const AdmissionServiceConfig& cfg) {
-  // One policy point with the parallel engine: the shard path needs the
-  // cached checkpoint scan and at least dispatcher + one worker.
+  // One policy point with the parallel engine: the resident path needs the
+  // cached checkpoint scan and at least the dispatcher plus one worker.
   const AdmissionPath path =
       select_path(cfg.admission.scan, cfg.workers + 1, 1, 0);
   return cfg.workers >= 1 && path == AdmissionPath::kSharded
@@ -853,49 +304,27 @@ Ticket AdmissionService::submit_async(const ChannelOp& op) {
 }
 
 ChurnResult AdmissionService::submit(std::span<const ChannelOp> ops) {
-  ChurnResult result;
-  std::size_t admits = 0;
-  for (const ChannelOp& op : ops) {
-    admits += op.kind == ChannelOp::Kind::kAdmit ? 1 : 0;
-  }
-  result.admissions.reserve(admits);
-  result.releases.reserve(ops.size() - admits);
   if (impl_->mode == Mode::kInline) {
-    // Flush runs of admits through the engine's batch path so the inline
-    // service keeps the batched pre-pass (and its single-thread speed).
-    std::vector<ChannelRequest> run;
-    auto flush = [&] {
-      if (run.empty()) {
-        return;
-      }
-      BatchResult batch = impl_->inline_engine->admit_batch(run);
-      for (auto& outcome : batch.outcomes) {
-        result.admissions.push_back(std::move(outcome));
-      }
-      run.clear();
-    };
-    for (const ChannelOp& op : ops) {
-      if (op.kind == ChannelOp::Kind::kAdmit) {
-        run.push_back(ChannelRequest{op.spec});
-      } else {
-        flush();
-        result.releases.push_back(impl_->inline_engine->release(op.id));
-      }
-    }
-    flush();
-    return result;
+    return impl_->inline_engine->process(ops);
   }
   std::vector<Ticket> tickets;
   tickets.reserve(ops.size());
+  std::size_t admits = 0;
   for (const ChannelOp& op : ops) {
     tickets.push_back(submit_async(op));
+    admits += op.kind == ChannelOp::Kind::kAdmit ? 1 : 0;
   }
+  ChurnResult result;
+  result.admissions.reserve(admits);
+  result.releases.reserve(ops.size() - admits);
   for (const Ticket& ticket : tickets) {
     ticket.wait();
-    if (ticket.kind() == ChannelOp::Kind::kAdmit) {
-      result.admissions.push_back(ticket.admit_outcome());
+    // These tickets never leave this call, so their outcomes move out.
+    TicketState& state = *ticket.state_;
+    if (state.kind == ChannelOp::Kind::kAdmit) {
+      result.admissions.push_back(std::move(*state.admit));
     } else {
-      result.releases.push_back(ticket.release_outcome());
+      result.releases.push_back(std::move(*state.release));
     }
   }
   return result;
@@ -925,7 +354,7 @@ const NetworkState& AdmissionService::state() NO_THREAD_SAFETY_ANALYSIS {
     return impl_->inline_engine->state();
   }
   impl_->drain();
-  return impl_->state;
+  return impl_->engine->state();
 }
 
 const AdmissionStats& AdmissionService::stats() NO_THREAD_SAFETY_ANALYSIS {
@@ -933,24 +362,17 @@ const AdmissionStats& AdmissionService::stats() NO_THREAD_SAFETY_ANALYSIS {
     return impl_->inline_engine->stats();
   }
   impl_->drain();
-  return impl_->stats;
+  return impl_->engine->stats();
 }
 
 const DeadlinePartitioner& AdmissionService::partitioner() const {
-  return impl_->mode == Mode::kInline ? impl_->inline_engine->partitioner()
-                                      : *impl_->partitioner;
+  return *impl_->partitioner;
 }
 
 AdmissionService::Mode AdmissionService::mode() const { return impl_->mode; }
 
 unsigned AdmissionService::worker_count() const {
-  return impl_->mode == Mode::kInline
-             ? 0
-             : static_cast<unsigned>(impl_->workers.size());
-}
-
-std::uint64_t AdmissionService::migrations() const {
-  return impl_->migration_count.load(std::memory_order_relaxed);
+  return impl_->mode == Mode::kInline ? 0 : impl_->config.workers;
 }
 
 }  // namespace rtether::core

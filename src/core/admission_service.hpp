@@ -1,24 +1,21 @@
 #pragma once
 
 /// @file admission_service.hpp
-/// Resident sharded admission service. Where `ParallelAdmissionEngine` forks
-/// and joins workers per batch, `AdmissionService` keeps one dispatcher
-/// thread and N shard workers alive for its whole lifetime: producers push
-/// admit/release ops into a lock-free MPSC ring and get back a `Ticket`
-/// that completes asynchronously. Link state is statically partitioned by
-/// conflict component (a channel occupies its source uplink and destination
-/// downlink; components of that conflict graph are independent), and a
-/// topology-crossing admit migrates the smaller component between workers
-/// on the fly — admits, releases and re-partitions interleave in flight.
+/// Resident admission service: an asynchronous front over
+/// `ParallelAdmissionEngine`. Producers push admit/release ops from any
+/// number of threads into a lock-free MPSC ring and get back a `Ticket`
+/// that completes asynchronously. One dispatcher thread owns the engine:
+/// it parks until the ring has work, takes everything already queued (up
+/// to one ring's worth) as one burst, runs the burst through the engine's
+/// `process` — which shards it by link-conflict component across the
+/// engine's worker pool — and completes the burst's tickets in dequeue
+/// order.
 ///
 /// The linearization point of every op is the dispatcher's dequeue from the
-/// ingest ring: decisions, assigned channel IDs, rejection diagnostics and
+/// ingest ring. `process` is decision-identical to a sequential replay of
+/// its ops, so decisions, assigned channel IDs, rejection diagnostics and
 /// final stats are bit-identical to replaying the ops in dequeue order
-/// through the sequential `AdmissionController`. The dispatcher runs a
-/// CPU-style out-of-order-execute / in-order-retire pipeline to keep that
-/// guarantee: workers decide feasibility against shard-local state under
-/// dispatcher-private placeholder IDs, and the dispatcher retires decisions
-/// in dequeue order, assigning the real (smallest-free) channel IDs.
+/// through the sequential `AdmissionController`.
 ///
 /// Partitioner contract (same as the parallel engine): `candidates()` must
 /// be a pure function of the spec and the two touched link directions —
@@ -44,16 +41,14 @@ struct TicketState;
 /// Tuning knobs for `AdmissionService`.
 struct AdmissionServiceConfig {
   AdmissionConfig admission{};
-  /// Shard workers. 0 (or a non-checkpoint scan, which the shard path does
-  /// not cache) selects inline mode: no threads, ops complete synchronously
-  /// inside `submit_async` via an internal `AdmissionEngine`.
+  /// Worker threads of the resident engine's pool. 0 (or a non-checkpoint
+  /// scan, which the shard path does not cache) selects inline mode: no
+  /// threads, ops complete synchronously inside `submit_async` via an
+  /// internal `AdmissionEngine`.
   unsigned workers{0};
-  /// Ingest ring capacity (producers block when full).
+  /// Ingest ring capacity (producers block when full); also the largest
+  /// burst the dispatcher hands the engine at once.
   std::size_t queue_capacity{4096};
-  /// Reorder-buffer depth: max ops in flight between dispatch and retire.
-  std::size_t rob_capacity{4096};
-  /// Per-worker op ring capacity (dispatcher blocks when full).
-  std::size_t worker_queue_capacity{1024};
 };
 
 /// Completion handle for one submitted op. Copyable (shared state); `wait`
@@ -104,7 +99,7 @@ class AdmissionService {
  public:
   enum class Mode : std::uint8_t {
     kInline,    ///< no threads; ops complete inside submit_async
-    kResident,  ///< dispatcher + shard workers, async completion
+    kResident,  ///< dispatcher + engine worker pool, async completion
   };
 
   AdmissionService(std::uint32_t node_count,
@@ -145,8 +140,6 @@ class AdmissionService {
   [[nodiscard]] const DeadlinePartitioner& partitioner() const;
   [[nodiscard]] Mode mode() const;
   [[nodiscard]] unsigned worker_count() const;
-  /// Component migrations performed by topology-crossing admits.
-  [[nodiscard]] std::uint64_t migrations() const;
 
  private:
   struct Impl;

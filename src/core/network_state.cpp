@@ -66,18 +66,9 @@ void NetworkState::adopt_link(NodeId node, LinkDirection dir,
   link_mutable(node, dir) = std::move(tasks);
 }
 
-edf::TaskSet NetworkState::take_link(NodeId node, LinkDirection dir) {
-  return std::exchange(link_mutable(node, dir), edf::TaskSet{});
-}
-
-bool NetworkState::forget_channel(ChannelId id) {
-  return channels_.erase(id) != 0;
-}
-
-void NetworkState::adopt_channel(const RtChannel& channel) {
-  RTETHER_ASSERT_MSG(!channels_.contains(channel.id),
-                     "duplicate RT channel ID");
-  channels_.emplace(channel.id, channel);
+bool NetworkState::remove_link_task(NodeId node, LinkDirection dir,
+                                    ChannelId id) {
+  return link_mutable(node, dir).remove(id);
 }
 
 std::optional<RtChannel> NetworkState::find_channel(ChannelId id) const {

@@ -68,23 +68,11 @@ class NetworkState {
   /// `link_utilization`), which is all a `DeadlinePartitioner` reads.
   void adopt_link(NodeId node, LinkDirection dir, edf::TaskSet tasks);
 
-  /// Moves one link direction's task set out, leaving the link empty — the
-  /// donor half of a shard-migration hand-off (`adopt_link` is the
-  /// recipient half). The move preserves task order and the accumulated
-  /// floating-point utilization bit-for-bit. The channel registry is NOT
-  /// updated; pair with `forget_channel`/`adopt_channel` when the registry
-  /// entries travel too.
-  [[nodiscard]] edf::TaskSet take_link(NodeId node, LinkDirection dir);
-
-  /// Registry-only erase: drops the channel record without touching any
-  /// link's task set (the pseudo-tasks travel wholesale via `take_link`).
-  /// False if unknown.
-  bool forget_channel(ChannelId id);
-
-  /// Registry-only insert: registers a channel record whose pseudo-tasks
-  /// are already present in (or travelling with) adopted links. Asserts the
-  /// ID is new.
-  void adopt_channel(const RtChannel& channel);
+  /// Drops `id`'s pseudo-task from one link direction without touching the
+  /// registry — the shard-side half of a release in the parallel engine,
+  /// applied to an `adopt_link` projection (the registry half runs on the
+  /// full state at merge). False if the link carries no task for `id`.
+  bool remove_link_task(NodeId node, LinkDirection dir, ChannelId id);
 
   [[nodiscard]] std::optional<RtChannel> find_channel(ChannelId id) const;
 

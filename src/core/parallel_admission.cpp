@@ -1,6 +1,7 @@
 #include "core/parallel_admission.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -16,16 +17,15 @@ using admission_internal::link_key;
 
 namespace {
 
-/// How the pre-pass classified one request.
-enum class RequestKind : std::uint8_t {
-  kInvalid,  ///< fails ChannelSpec::valid(); rejected at merge
-  kUnknown,  ///< source or destination not in the network; rejected at merge
-  kSharded,  ///< decided by a shard worker
+/// How the pre-pass classified one op of a batch.
+enum class OpKind : std::uint8_t {
+  kInvalid,  ///< admit failing ChannelSpec::valid(); rejected at merge
+  kUnknown,  ///< admit naming a node outside the network; rejected at merge
+  kAdmit,    ///< admit decided by a shard worker
+  kRelease,  ///< release of a channel live at batch start, applied in-shard
 };
 
-/// One request's verdict as computed by a shard worker. Workers write into
-/// disjoint, pre-sized slots — the only cross-thread hand-off is the
-/// fork-join of the pool itself.
+/// One admit's verdict as computed by a shard worker.
 struct Decision {
   bool accepted{false};
   DeadlinePartition partition{};
@@ -33,22 +33,37 @@ struct Decision {
   std::string detail;
 };
 
+void append(ChurnResult& into, ChurnResult&& from) {
+  for (auto& outcome : from.admissions) {
+    into.admissions.push_back(std::move(outcome));
+  }
+  for (auto& outcome : from.releases) {
+    into.releases.push_back(std::move(outcome));
+  }
+}
+
+[[nodiscard]] std::size_t uplink_key(const ChannelSpec& spec) {
+  return link_key(spec.source, LinkDirection::kUplink);
+}
+
+[[nodiscard]] std::size_t downlink_key(const ChannelSpec& spec) {
+  return link_key(spec.destination, LinkDirection::kDownlink);
+}
+
 }  // namespace
 
 /// Everything one worker needs, owned exclusively for the batch: the shard's
-/// request indices (submission order), its links, a private projection of
-/// the network state covering exactly those links, the engine's per-link
-/// caches (borrowed — moved out and later moved back), and a placeholder
-/// channel ID per request drawn from the allocator's free pool so local
-/// trial commits can never collide with a live ID.
-struct ParallelAdmissionEngine::Shard {
-  std::vector<std::uint32_t> requests;
+/// op indices (stream order), its links, the engine's per-link caches
+/// (borrowed — moved out and later moved back), a placeholder channel ID per
+/// admit drawn from the allocator's free pool so local trial commits can
+/// never collide with a live ID, and the admits' verdicts in stream order.
+/// Cache-line aligned: workers write their shard's fields on every trial.
+struct alignas(64) ParallelAdmissionEngine::Shard {
+  std::vector<std::uint32_t> ops;
   std::vector<std::size_t> links;
   std::vector<ChannelId> placeholders;
   std::vector<edf::LinkScanCache> caches;
-  /// Constructed by the worker itself (the projection copies are part of
-  /// the parallel phase, not the sequential prologue).
-  std::optional<NetworkState> local;
+  std::vector<Decision> decisions;
   AdmissionStats stats;
 };
 
@@ -71,78 +86,141 @@ ReleaseOutcome ParallelAdmissionEngine::release(ChannelId id) {
 
 BatchResult ParallelAdmissionEngine::admit_batch(
     std::span<const ChannelRequest> requests) {
-  // `select_path` is the one policy point (shared with AdmissionService):
-  // non-checkpoint scans run the reference path, degenerate pools cannot run
-  // anything concurrently, and small batches would pay more in shard setup
-  // than the analysis costs. All of these fall back to the sequential
-  // engine — decisions are identical on every path, only wall clock differs.
-  if (select_path(engine_.config_.scan, pool_.size(), requests.size(),
-                  min_parallel_batch_) == AdmissionPath::kSequential) {
-    last_shard_count_ = requests.empty() ? 0 : 1;
-    return engine_.admit_batch(requests);
+  std::vector<ChannelOp> ops;
+  ops.reserve(requests.size());
+  for (const ChannelRequest& request : requests) {
+    ops.push_back(ChannelOp::admit(request.spec));
   }
-  return admit_batch_sharded(requests);
+  return BatchResult{process(ops).admissions};
 }
 
-BatchResult ParallelAdmissionEngine::admit_batch_sharded(
-    std::span<const ChannelRequest> requests) {
+ChurnResult ParallelAdmissionEngine::process(std::span<const ChannelOp> ops) {
+  last_shard_count_ = ops.empty() ? 0 : 1;
+  // `select_path` is the one policy point (shared with AdmissionService):
+  // non-checkpoint scans run the reference path, degenerate pools cannot run
+  // anything concurrently, and short streams would pay more in shard setup
+  // than the analysis costs. All of these run the sequential engine —
+  // decisions are identical on every path, only wall clock differs.
+  if (select_path(engine_.config_.scan, pool_.size(), ops.size(),
+                  min_parallel_batch_) == AdmissionPath::kSequential) {
+    return engine_.process(ops);
+  }
+
+  // Cut the stream into batches at each release a shard cannot decide: one
+  // whose ID was not live at batch start (it may name an admit of this very
+  // batch, whose ID only the merge assigns) or was already released earlier
+  // in the batch (the ID may have been recycled by an admit in between).
+  // That release runs on the merged state, at its exact stream position.
+  ChurnResult result;
+  const auto admits = static_cast<std::size_t>(
+      std::count_if(ops.begin(), ops.end(), [](const ChannelOp& op) {
+        return op.kind == ChannelOp::Kind::kAdmit;
+      }));
+  result.admissions.reserve(admits);
+  result.releases.reserve(ops.size() - admits);
+  std::vector<bool> released(ChannelIdAllocator::kCapacity + 1, false);
+  std::size_t begin = 0;
+  while (begin < ops.size()) {
+    std::size_t end = begin;
+    for (; end < ops.size(); ++end) {
+      const ChannelOp& op = ops[end];
+      if (op.kind != ChannelOp::Kind::kRelease) {
+        continue;
+      }
+      if (!engine_.ids_.is_live(op.id) || released[op.id.value()]) {
+        break;
+      }
+      released[op.id.value()] = true;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (ops[i].kind == ChannelOp::Kind::kRelease) {
+        released[ops[i].id.value()] = false;
+      }
+    }
+    process_batch(ops.subspan(begin, end - begin), result);
+    if (end == ops.size()) {
+      break;
+    }
+    result.releases.push_back(engine_.release(ops[end].id));
+    begin = end + 1;
+  }
+  return result;
+}
+
+void ParallelAdmissionEngine::process_batch(std::span<const ChannelOp> batch,
+                                            ChurnResult& result) {
+  if (select_path(engine_.config_.scan, pool_.size(), batch.size(),
+                  min_parallel_batch_) == AdmissionPath::kSequential) {
+    append(result, engine_.process(batch));
+    return;
+  }
   const std::uint32_t node_count = engine_.state().node_count();
   const std::size_t key_space = std::size_t{node_count} * 2;
 
-  // Phase 1a — classify and build the link-conflict graph.
-  std::vector<RequestKind> kind(requests.size());
+  // Phase 1a — classify and build the link-conflict graph. `subject[i]` is
+  // the channel op i creates (spec only) or tears down (the live record);
+  // either way its two link directions are an edge of the graph.
+  std::vector<OpKind> kind(batch.size());
+  std::vector<RtChannel> subject(batch.size());
   admission_internal::LinkUnionFind components(key_space);
-  std::size_t shardable = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ChannelSpec& spec = requests[i].spec;
-    if (!spec.valid()) {
-      kind[i] = RequestKind::kInvalid;
-    } else if (!engine_.state().node_exists(spec.source) ||
-               !engine_.state().node_exists(spec.destination)) {
-      kind[i] = RequestKind::kUnknown;
+  std::size_t admits = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ChannelOp& op = batch[i];
+    if (op.kind == ChannelOp::Kind::kRelease) {
+      const auto channel = engine_.state().find_channel(op.id);
+      RTETHER_ASSERT_MSG(channel.has_value(), "batch cut missed a release");
+      kind[i] = OpKind::kRelease;
+      subject[i] = *channel;
+    } else if (!op.spec.valid()) {
+      kind[i] = OpKind::kInvalid;
+      continue;
+    } else if (!engine_.state().node_exists(op.spec.source) ||
+               !engine_.state().node_exists(op.spec.destination)) {
+      kind[i] = OpKind::kUnknown;
+      continue;
     } else {
-      kind[i] = RequestKind::kSharded;
-      ++shardable;
-      components.unite(link_key(spec.source, LinkDirection::kUplink),
-                       link_key(spec.destination, LinkDirection::kDownlink));
+      kind[i] = OpKind::kAdmit;
+      subject[i].spec = op.spec;
+      ++admits;
     }
+    components.unite(uplink_key(subject[i].spec),
+                     downlink_key(subject[i].spec));
   }
 
   // Channel-ID headroom: the sequential flow rejects with
   // kChannelIdsExhausted exactly when the allocator runs dry mid-stream,
   // which depends on global acceptance order — not reproducible shard-
-  // locally. With enough headroom the case cannot arise; without it, the
-  // whole batch takes the sequential path.
-  if (shardable == 0 ||
-      engine_.ids_.live_count() + shardable > ChannelIdAllocator::kCapacity) {
-    last_shard_count_ = 1;
-    return engine_.admit_batch(requests);
+  // locally. With enough headroom the case cannot arise (releases only ever
+  // add headroom); without it, the whole batch takes the sequential path.
+  if (admits == 0 ||
+      engine_.ids_.live_count() + admits > ChannelIdAllocator::kCapacity) {
+    append(result, engine_.process(batch));
+    return;
   }
 
-  // Phase 1b — group requests into shards (one per connected component,
-  // submission order preserved by the ascending index walk).
+  // Phase 1b — group ops into shards (one per connected component, stream
+  // order preserved by the ascending index walk).
   std::vector<std::int32_t> shard_of_root(key_space, -1);
+  std::vector<std::uint32_t> shard_of_op(batch.size());
   std::vector<Shard> shards;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (kind[i] != RequestKind::kSharded) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (kind[i] != OpKind::kAdmit && kind[i] != OpKind::kRelease) {
       continue;
     }
-    const ChannelSpec& spec = requests[i].spec;
-    const std::uint32_t root =
-        components.find(link_key(spec.source, LinkDirection::kUplink));
+    const std::uint32_t root = components.find(uplink_key(subject[i].spec));
     if (shard_of_root[root] < 0) {
       shard_of_root[root] = static_cast<std::int32_t>(shards.size());
       shards.emplace_back();
     }
-    shards[static_cast<std::size_t>(shard_of_root[root])].requests.push_back(
-        static_cast<std::uint32_t>(i));
+    shard_of_op[i] = static_cast<std::uint32_t>(shard_of_root[root]);
+    shards[shard_of_op[i]].ops.push_back(static_cast<std::uint32_t>(i));
   }
 
   if (shards.size() == 1) {
     // One giant component (e.g. uniform all-to-all traffic): sharding buys
     // nothing, skip the projection overhead.
-    last_shard_count_ = 1;
-    return engine_.admit_batch(requests);
+    append(result, engine_.process(batch));
+    return;
   }
 
   // Phase 1c — per-shard link membership. `slot_of_key` maps a link key to
@@ -150,11 +228,9 @@ BatchResult ParallelAdmissionEngine::admit_batch_sharded(
   // shards, so one global table suffices (read-only while workers run).
   std::vector<std::int32_t> slot_of_key(key_space, -1);
   for (auto& shard : shards) {
-    for (const std::uint32_t i : shard.requests) {
-      const ChannelSpec& spec = requests[i].spec;
+    for (const std::uint32_t i : shard.ops) {
       for (const std::size_t key :
-           {link_key(spec.source, LinkDirection::kUplink),
-            link_key(spec.destination, LinkDirection::kDownlink)}) {
+           {uplink_key(subject[i].spec), downlink_key(subject[i].spec)}) {
         if (slot_of_key[key] < 0) {
           slot_of_key[key] = static_cast<std::int32_t>(shard.links.size());
           shard.links.push_back(key);
@@ -166,10 +242,11 @@ BatchResult ParallelAdmissionEngine::admit_batch_sharded(
   // Phase 1d — placeholder IDs. Trial commits inside a worker install
   // pseudo-tasks under a temporary channel ID; drawing those from the
   // allocator's free pool (allocate-then-release keeps the allocator
-  // unchanged) guarantees no collision with live channels or other shards.
+  // unchanged) guarantees no collision with live channels — including the
+  // ones this batch releases — or with other shards.
   std::vector<ChannelId> free_ids;
-  free_ids.reserve(shardable);
-  for (std::size_t n = 0; n < shardable; ++n) {
+  free_ids.reserve(admits);
+  for (std::size_t n = 0; n < admits; ++n) {
     const auto id = engine_.ids_.allocate();
     RTETHER_ASSERT_MSG(id.has_value(), "headroom guard miscounted");
     free_ids.push_back(*id);
@@ -179,13 +256,14 @@ BatchResult ParallelAdmissionEngine::admit_batch_sharded(
     RTETHER_ASSERT(was_live);
   }
   {
-    std::size_t cursor = 0;
+    auto next = free_ids.begin();
     for (auto& shard : shards) {
-      shard.placeholders.assign(
-          free_ids.begin() + static_cast<std::ptrdiff_t>(cursor),
-          free_ids.begin() +
-              static_cast<std::ptrdiff_t>(cursor + shard.requests.size()));
-      cursor += shard.requests.size();
+      for (const std::uint32_t i : shard.ops) {
+        if (kind[i] == OpKind::kAdmit) {
+          shard.placeholders.push_back(*next++);
+        }
+      }
+      shard.decisions.resize(shard.placeholders.size());
     }
   }
 
@@ -201,60 +279,82 @@ BatchResult ParallelAdmissionEngine::admit_batch_sharded(
   }
 
   // Phase 2 — decide every shard concurrently. Workers touch only their
-  // own shard, their disjoint decision slots, and read-only shared inputs
-  // (requests, slot_of_key, the engine's — frozen — network state, the
-  // stateless partitioner).
-  std::vector<Decision> decisions(requests.size());
+  // own shard and read-only shared inputs (the batch, subject, slot_of_key,
+  // the engine's — frozen — network state, the stateless partitioner).
   const DeadlinePartitioner& partitioner = engine_.partitioner();
-  pool_.parallel_for_shards(shards.size(), [&](std::size_t si) {
+  const ReleasePolicy release_policy = engine_.config_.release;
+  auto decide = [&](std::size_t si) {
     Shard& shard = shards[si];
+    auto cache_of = [&](std::size_t key) -> edf::LinkScanCache& {
+      return shard.caches[static_cast<std::size_t>(slot_of_key[key])];
+    };
 
     // Project the network state: wholesale copies of exactly this shard's
     // links (task order and accumulated floating-point utilization
     // preserved), so partitioners and diagnostics observe exactly the
-    // sequential numbers. Done here, not in the prologue — the copies are
-    // part of the parallel phase.
-    shard.local.emplace(engine_.state().node_count());
+    // sequential numbers. Built and dropped by the worker itself — the
+    // copies are part of the parallel phase, not the sequential prologue.
+    NetworkState local(engine_.state().node_count());
     for (const std::size_t key : shard.links) {
       const NodeId node = key_node(key);
       const LinkDirection dir = key_direction(key);
-      shard.local->adopt_link(node, dir, engine_.state().link(node, dir));
+      local.adopt_link(node, dir, engine_.state().link(node, dir));
     }
 
     // Per-link batch pre-pass, same as the sequential engine's
-    // prepare_links but scoped (and parallelized) per shard.
+    // prepare_links but scoped (and parallelized) per shard. Grids never
+    // affect verdicts, so sizing once for the whole batch — across the
+    // releases in it — is pure throughput.
     std::vector<std::vector<ChannelSpec>> groups(shard.links.size());
-    for (const std::uint32_t i : shard.requests) {
-      const ChannelSpec& spec = requests[i].spec;
-      groups[static_cast<std::size_t>(
-                 slot_of_key[link_key(spec.source, LinkDirection::kUplink)])]
+    for (const std::uint32_t i : shard.ops) {
+      if (kind[i] != OpKind::kAdmit) {
+        continue;
+      }
+      const ChannelSpec& spec = subject[i].spec;
+      groups[static_cast<std::size_t>(slot_of_key[uplink_key(spec)])]
           .push_back(spec);
-      groups[static_cast<std::size_t>(
-                 slot_of_key[link_key(spec.destination,
-                                      LinkDirection::kDownlink)])]
+      groups[static_cast<std::size_t>(slot_of_key[downlink_key(spec)])]
           .push_back(spec);
     }
     for (std::size_t slot = 0; slot < shard.links.size(); ++slot) {
       const std::size_t key = shard.links[slot];
       admission_internal::reserve_link_horizon(
-          shard.local->link(key_node(key), key_direction(key)),
-          shard.caches[slot], groups[slot]);
+          local.link(key_node(key), key_direction(key)), shard.caches[slot],
+          groups[slot]);
     }
 
-    // The DPS-candidate loop, identical to `admission_flow`'s (validation
-    // and ID allocation already handled by the pre-pass and merge phases).
-    for (std::size_t k = 0; k < shard.requests.size(); ++k) {
-      const std::uint32_t i = shard.requests[k];
-      const ChannelSpec& spec = requests[i].spec;
-      Decision& out = decisions[i];
+    auto placeholder = shard.placeholders.begin();
+    auto out = shard.decisions.begin();
+    for (const std::uint32_t i : shard.ops) {
+      const RtChannel& channel = subject[i];
+      const ChannelSpec& spec = channel.spec;
+      edf::LinkScanCache& uplink_cache = cache_of(uplink_key(spec));
+      edf::LinkScanCache& downlink_cache = cache_of(downlink_key(spec));
 
-      auto& uplink_cache = shard.caches[static_cast<std::size_t>(
-          slot_of_key[link_key(spec.source, LinkDirection::kUplink)])];
-      auto& downlink_cache = shard.caches[static_cast<std::size_t>(
-          slot_of_key[link_key(spec.destination,
-                               LinkDirection::kDownlink)])];
+      if (kind[i] == OpKind::kRelease) {
+        // The link half of `AdmissionEngine::release`; the registry, ID and
+        // stat half runs at merge.
+        auto unlink = [&](NodeId node, LinkDirection dir, Slot deadline,
+                          edf::LinkScanCache& cache) {
+          const bool removed = local.remove_link_task(node, dir, channel.id);
+          RTETHER_ASSERT(removed);
+          admission_internal::downdate_link_cache(
+              cache, local.link(node, dir),
+              {channel.id, spec.period, spec.capacity, deadline},
+              release_policy);
+        };
+        unlink(spec.source, LinkDirection::kUplink, channel.partition.uplink,
+               uplink_cache);
+        unlink(spec.destination, LinkDirection::kDownlink,
+               channel.partition.downlink, downlink_cache);
+        continue;
+      }
 
-      const auto candidates = partitioner.candidates(spec, *shard.local);
+      // The DPS-candidate loop, identical to `admission_flow`'s (validation
+      // and ID allocation are handled by the pre-pass and merge phases).
+      Decision& decision = *out++;
+      const ChannelId id = *placeholder++;
+      const auto candidates = partitioner.candidates(spec, local);
       RTETHER_ASSERT_MSG(!candidates.empty(), "DPS returned no candidates");
       RejectReason reason = RejectReason::kUplinkInfeasible;
       std::string why;
@@ -262,45 +362,74 @@ BatchResult ParallelAdmissionEngine::admit_batch_sharded(
         RTETHER_ASSERT_MSG(partition.satisfies(spec),
                            "DPS candidate violates Eq 18.8/18.9");
         if (admission_internal::cached_candidate_test(
-                *shard.local, uplink_cache, downlink_cache, shard.stats, spec,
-                shard.placeholders[k], partition, reason, why)) {
-          out.accepted = true;
-          out.partition = partition;
+                local, uplink_cache, downlink_cache, shard.stats, spec, id,
+                partition, reason, why)) {
+          decision.accepted = true;
+          decision.partition = partition;
           break;
         }
       }
-      if (!out.accepted) {
-        out.reason = reason;
-        out.detail = std::move(why);
+      if (!decision.accepted) {
+        decision.reason = reason;
+        decision.detail = std::move(why);
       }
     }
-  });
+  };
+  // Shards are claimed dynamically (uneven shards balance) by the pool's
+  // workers and by this thread, which would otherwise sleep through the
+  // join. The pool is private to the engine, so `wait_idle` is the join.
+  std::atomic<std::size_t> next_shard{0};
+  auto claim = [&] {
+    for (std::size_t si = next_shard++; si < shards.size();
+         si = next_shard++) {
+      decide(si);
+    }
+  };
+  const std::size_t helpers =
+      std::min<std::size_t>(pool_.size(), shards.size() - 1);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool_.submit(claim);
+  }
+  claim();
+  pool_.wait_idle();
 
-  // Phase 3 — merge in submission order. Real channel IDs are allocated
-  // here, smallest-free-first over the global accept sequence — exactly the
-  // IDs the sequential controller would have assigned. Rejections for
+  // Phase 3 — merge in stream order. Releases leave the registry and free
+  // their IDs at their own positions, and real channel IDs are allocated
+  // here, smallest-free-first over the global sequence — exactly the IDs
+  // the sequential controller would have assigned. Rejections for
   // invalid/unknown specs are materialized with the shared detail builders,
   // so their strings cannot drift from the sequential path either.
-  BatchResult result;
-  result.outcomes.reserve(requests.size());
   AdmissionStats& stats = engine_.stats_;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ChannelSpec& spec = requests[i].spec;
-    ++stats.requested;
+  std::vector<std::size_t> next_decision(shards.size(), 0);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ChannelSpec& spec = batch[i].spec;
     switch (kind[i]) {
-      case RequestKind::kInvalid:
+      case OpKind::kInvalid:
+        ++stats.requested;
         ++stats.rejected;
-        result.outcomes.push_back(Unexpected(
+        result.admissions.push_back(Unexpected(
             Rejection{RejectReason::kInvalidSpec,
                       admission_internal::invalid_spec_detail(spec)}));
         break;
-      case RequestKind::kUnknown:
+      case OpKind::kUnknown:
+        ++stats.requested;
         ++stats.rejected;
-        result.outcomes.push_back(Unexpected(
+        result.admissions.push_back(Unexpected(
             Rejection{RejectReason::kUnknownNode, spec.to_string()}));
         break;
-      case RequestKind::kSharded: {
-        Decision& decision = decisions[i];
+      case OpKind::kRelease: {
+        const ChannelId id = batch[i].id;
+        const bool released = admission_internal::release_channel(
+                                  engine_.state_, engine_.ids_, stats, id)
+                                  .has_value();
+        RTETHER_ASSERT(released);
+        result.releases.emplace_back(id);
+        break;
+      }
+      case OpKind::kAdmit: {
+        ++stats.requested;
+        Shard& shard = shards[shard_of_op[i]];
+        Decision& decision = shard.decisions[next_decision[shard_of_op[i]]++];
         if (decision.accepted) {
           const auto id = engine_.ids_.allocate();
           RTETHER_ASSERT_MSG(id.has_value(),
@@ -308,10 +437,10 @@ BatchResult ParallelAdmissionEngine::admit_batch_sharded(
           const RtChannel channel{*id, spec, decision.partition};
           engine_.state_.add_channel(channel);
           ++stats.accepted;
-          result.outcomes.push_back(channel);
+          result.admissions.push_back(channel);
         } else {
           ++stats.rejected;
-          result.outcomes.push_back(Unexpected(
+          result.admissions.push_back(Unexpected(
               Rejection{decision.reason, std::move(decision.detail)}));
         }
         break;
@@ -332,34 +461,7 @@ BatchResult ParallelAdmissionEngine::admit_batch_sharded(
     stats.demand_evaluations += shard.stats.demand_evaluations;
   }
 
-  last_shard_count_ = shards.size();
-  return result;
-}
-
-ChurnResult ParallelAdmissionEngine::process(
-    std::span<const ChannelOp> ops) {
-  ChurnResult result;
-  std::vector<ChannelRequest> pending;
-  auto flush = [&] {
-    if (pending.empty()) {
-      return;
-    }
-    BatchResult batch = admit_batch(pending);
-    for (auto& outcome : batch.outcomes) {
-      result.admissions.push_back(std::move(outcome));
-    }
-    pending.clear();
-  };
-  for (const ChannelOp& op : ops) {
-    if (op.kind == ChannelOp::Kind::kAdmit) {
-      pending.push_back(ChannelRequest{op.spec});
-    } else {
-      flush();
-      result.releases.push_back(release(op.id));
-    }
-  }
-  flush();
-  return result;
+  last_shard_count_ = std::max(last_shard_count_, shards.size());
 }
 
 }  // namespace rtether::core

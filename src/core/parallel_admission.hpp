@@ -11,45 +11,52 @@
 /// once.
 ///
 /// `ParallelAdmissionEngine` makes that concrete while keeping the paper's
-/// semantics bit-exact. A batch is processed in three phases:
+/// semantics bit-exact. A batch of admit/release ops is processed in three
+/// phases:
 ///
-///   1. **Shard** (sequential, cheap): each valid request is an edge between
-///      its two link directions in the link-conflict graph; union-find over
-///      that graph groups links into connected components. All requests
-///      whose links fall in one component form one shard, kept in submission
-///      order. Cross-link ordering is thereby resolved *before* any
-///      concurrency exists: two requests that could ever observe each other
-///      share a component by construction.
+///   1. **Shard** (sequential, cheap): each valid admit is an edge between
+///      its two link directions in the link-conflict graph, and so is each
+///      release (between the live channel's two links); union-find over
+///      that graph groups links into connected components. All ops whose
+///      links fall in one component form one shard, kept in stream order.
+///      Cross-link ordering is thereby resolved *before* any concurrency
+///      exists: two ops that could ever observe each other share a
+///      component by construction.
 ///   2. **Decide** (parallel): each shard worker gets a private projection
 ///      of the network state (wholesale copies of exactly its links' task
 ///      sets) and borrows the engine's per-link `LinkScanCache`s — links are
 ///      partitioned across shards, so no lock is ever taken — a hard
 ///      invariant, statically enforced: `parallel_admission.cpp` must never
 ///      name a mutex type (`scripts/lint_invariants.py`, rule
-///      `lock-free-path`, gates CI on it). Workers run
-///      the identical DPS-candidate loop and cached feasibility trial as
-///      the sequential engine (`admission_internal::cached_candidate_test`),
-///      using pre-reserved placeholder channel IDs, and record per-request
-///      decisions into disjoint slots.
-///   3. **Merge** (sequential, O(1) per request): walk the batch in
-///      submission order, allocate the real channel ID for each accept
-///      (smallest-free order — exactly what the sequential controller would
-///      have assigned), install the channel, and stitch outcomes together.
-///      The borrowed caches return home; they are ID-agnostic, so the
-///      placeholder/real-ID split is invisible to them.
+///      `lock-free-path`, gates CI on it). Workers run the identical
+///      DPS-candidate loop and cached feasibility trial as the sequential
+///      engine (`admission_internal::cached_candidate_test`) under
+///      pre-reserved placeholder channel IDs, take released channels out of
+///      their projection and caches at their stream positions, and record
+///      per-admit decisions into disjoint slots.
+///   3. **Merge** (sequential, O(1) per op): walk the batch in stream order;
+///      each release leaves the registry, frees its ID and counts as
+///      released, and each accept gets its real channel ID (smallest-free
+///      order — exactly what the sequential controller would have assigned)
+///      and is installed. The borrowed caches return home; they are
+///      ID-agnostic, so the placeholder/real-ID split is invisible to them.
 ///
 /// The result is **decision-identical** to feeding the same stream through
-/// `AdmissionController::request` one call at a time: same accepts, same
-/// rejects, same channel IDs, same partitions, same rejection reasons and
-/// diagnostic strings. Streams whose conflict graph collapses into one
+/// `AdmissionController` one call at a time: same accepts, same rejects,
+/// same channel IDs, same partitions, same rejection reasons and diagnostic
+/// strings, same stats. Only a release whose ID was not live at batch start
+/// (it may name an admit of the same batch, whose ID only the merge
+/// assigns) or was already released earlier in the batch cuts the stream:
+/// it runs on the merged state at its exact position, and a new batch
+/// starts after it. Streams whose conflict graph collapses into one
 /// component (all-to-all traffic) degrade gracefully to the single-threaded
-/// batched path — correctness never depends on shardability. Requirements:
-/// the partitioner's `candidates()` must be pure per-call and must read only
-/// the two links the spec touches (true for SDPS/ADPS/UDPS/Search).
+/// `AdmissionEngine::process` — correctness never depends on shardability.
+/// Requirements: the partitioner's `candidates()` must be pure per-call and
+/// must read only the two links the spec touches (true for
+/// SDPS/ADPS/UDPS/Search).
 ///
-/// Churn is first-class: `release()` tears a channel down between batches,
-/// and `process()` drives a mixed admit/release stream — runs of admissions
-/// execute through the sharded path, each release is a (cheap) barrier.
+/// `AdmissionService` runs every ingest burst of its resident mode through
+/// `process`, so this is the one sharded admission path in the library.
 
 #include <cstdint>
 #include <memory>
@@ -66,7 +73,8 @@ namespace rtether::core {
 struct ParallelAdmissionConfig {
   /// Knobs shared with the sequential engines (demand-scan strategy).
   AdmissionConfig admission{};
-  /// Worker threads. 0 = one per hardware thread (at least one).
+  /// Worker threads of the pool (the calling thread joins them while a
+  /// batch is decided). 0 = one per hardware thread (at least one).
   unsigned threads{0};
   /// Batches below this size skip sharding: per-shard setup (state
   /// projection, cache hand-off) would dominate the analysis itself.
@@ -94,9 +102,9 @@ class ParallelAdmissionEngine {
   /// link caches are downdated.
   [[nodiscard]] ReleaseOutcome release(ChannelId id);
 
-  /// Drives a mixed admit/release stream. Consecutive admissions form runs
-  /// that go through the sharded batch path; each release is applied at its
-  /// exact stream position, so outcomes match a sequential replay op by op.
+  /// Drives a mixed admit/release stream through the sharded path (see the
+  /// file comment for where the stream is cut into batches); outcomes
+  /// match a sequential replay op by op.
   [[nodiscard]] ChurnResult process(std::span<const ChannelOp> ops);
 
   [[nodiscard]] const NetworkState& state() const { return engine_.state(); }
@@ -112,8 +120,9 @@ class ParallelAdmissionEngine {
   /// lives in the sequential engine (shard workers only borrow it).
   void reset() { engine_.reset(); }
 
-  /// Shards the most recent `admit_batch` split into (1 when it fell back
-  /// to the sequential path; 0 before any batch). Diagnostics and benches.
+  /// The most shards any batch of the most recent `admit_batch`/`process`
+  /// call split into (1 when every batch ran the sequential path; 0 for an
+  /// empty call or before any). Diagnostics and benches.
   [[nodiscard]] std::size_t last_shard_count() const {
     return last_shard_count_;
   }
@@ -121,10 +130,12 @@ class ParallelAdmissionEngine {
  private:
   struct Shard;
 
-  /// The sharded path. Classifies and shards the batch; falls back to the
-  /// sequential engine when the conflict graph collapses to one component
-  /// or channel-ID headroom could make decisions order-dependent.
-  BatchResult admit_batch_sharded(std::span<const ChannelRequest> requests);
+  /// One batch of `process` (no release in it cuts the stream). Classifies
+  /// and shards the batch and appends its outcomes to `result`; falls back
+  /// to the sequential engine for short batches, when the conflict graph
+  /// collapses to one component, or when channel-ID headroom could make
+  /// decisions order-dependent.
+  void process_batch(std::span<const ChannelOp> batch, ChurnResult& result);
 
   /// The sequential engine owns every piece of persistent state (network
   /// state, ID allocator, stats, per-link caches); the parallel layer

@@ -49,9 +49,10 @@ enum class GeneratorProfile : std::uint8_t {
 };
 
 /// Bounds on what the generator may produce. Defaults are sized so a
-/// scenario runs in ~1 ms through all four admission paths plus the
-/// simulator — small enough for 10k-scenario campaigns, large enough to
-/// reach saturated links, churned IDs and multi-hop routes.
+/// scenario runs in ~1 ms through the reference admission path, the
+/// `RunnerOptions::backends` and the simulator — small enough for
+/// 10k-scenario campaigns, large enough to reach saturated links, churned
+/// IDs and multi-hop routes.
 struct GeneratorConfig {
   GeneratorProfile profile{GeneratorProfile::kMixed};
   std::uint32_t min_nodes{3};

@@ -184,8 +184,9 @@ struct RunnerOptions {
   /// controller on star scenarios (see `core::make_admission_backend`).
   /// The campaign's `--backend service` mode appends "service".
   std::vector<std::string> backends{"batched", "parallel"};
-  /// Run the simulation phase of star scenarios (the campaign's pure
-  /// admission mode turns this off for breadth-first sweeps).
+  /// Run the simulation phases: the star simulation and the fabric
+  /// simulation of multi-switch scenarios (the campaign's pure admission
+  /// mode turns this off for breadth-first sweeps).
   bool run_simulation{true};
   /// Record per-delivery delays in the EDF simulation phase and report
   /// `ScenarioResult::worst_jitter_ticks`. Off by default — the vector

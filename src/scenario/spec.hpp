@@ -29,7 +29,8 @@ namespace rtether::scenario {
 
 /// Shape of the switching fabric.
 enum class TopologyKind : std::uint8_t {
-  kStar,        ///< the paper's single switch (all four admission paths run)
+  kStar,        ///< the paper's single switch (the reference admission
+                ///< path plus `RunnerOptions::backends` run)
   kSwitchLine,  ///< switches in a line, nodes round-robin (multihop path)
   kSwitchTree,  ///< a binary tree of switches, nodes round-robin (multihop)
 };

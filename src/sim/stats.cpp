@@ -75,10 +75,9 @@ std::map<ChannelId, ChannelDeliveryStats> SimStats::channels() const {
   return sorted;
 }
 
-std::optional<ChannelDeliveryStats> SimStats::channel(ChannelId id) const {
+const ChannelDeliveryStats* SimStats::channel(ChannelId id) const {
   const TableSlot* found = find(id);
-  if (found == nullptr) return std::nullopt;
-  return found->stats;
+  return found == nullptr ? nullptr : &found->stats;
 }
 
 std::uint64_t SimStats::total_rt_delivered() const {

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -84,9 +83,9 @@ class SimStats {
   /// Sorted snapshot of every channel's record (reports, digests; cold).
   [[nodiscard]] std::map<ChannelId, ChannelDeliveryStats> channels() const;
 
-  /// Stats for one channel; nullopt if it never sent.
-  [[nodiscard]] std::optional<ChannelDeliveryStats> channel(
-      ChannelId id) const;
+  /// Stats for one channel, by reference into the table (valid until the
+  /// next record for a new channel); nullptr if it never sent.
+  [[nodiscard]] const ChannelDeliveryStats* channel(ChannelId id) const;
 
   [[nodiscard]] std::uint64_t total_rt_delivered() const;
   [[nodiscard]] std::uint64_t total_deadline_misses() const;

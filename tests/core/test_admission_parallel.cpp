@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -339,6 +341,170 @@ TEST(AdmissionParallel, ChurnStreamMatchesSequentialReplay) {
   EXPECT_EQ(parallel.stats().accepted, controller.stats().accepted);
   EXPECT_EQ(parallel.stats().rejected, controller.stats().rejected);
   EXPECT_EQ(parallel.stats().released, controller.stats().released);
+}
+
+/// Replays `ops` through `controller` and requires `churn` to match it op
+/// by op — outcomes, IDs, partitions, diagnostics — and `parallel`'s stats
+/// and live registry to match the controller's afterwards.
+void expect_churn_identity(std::span<const ChannelOp> ops,
+                           const ChurnResult& churn,
+                           AdmissionController& controller,
+                           ParallelAdmissionEngine& parallel) {
+  std::size_t admit_index = 0;
+  std::size_t release_index = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == ChannelOp::Kind::kAdmit) {
+      const AdmitOutcome expected = controller.request(ops[i].spec);
+      ASSERT_LT(admit_index, churn.admissions.size());
+      const AdmitOutcome& actual = churn.admissions[admit_index++];
+      ASSERT_EQ(expected.has_value(), actual.has_value()) << "op " << i;
+      if (expected.has_value()) {
+        EXPECT_EQ(*expected, *actual) << "op " << i;
+      } else {
+        EXPECT_EQ(expected.error(), actual.error()) << "op " << i;
+      }
+    } else {
+      const ReleaseOutcome expected = controller.release(ops[i].id);
+      ASSERT_LT(release_index, churn.releases.size());
+      const ReleaseOutcome& actual = churn.releases[release_index++];
+      ASSERT_EQ(expected.has_value(), actual.has_value()) << "op " << i;
+      if (expected.has_value()) {
+        EXPECT_EQ(*expected, *actual) << "op " << i;
+      } else {
+        EXPECT_EQ(expected.error(), actual.error()) << "op " << i;
+      }
+    }
+  }
+  EXPECT_EQ(admit_index, churn.admissions.size());
+  EXPECT_EQ(release_index, churn.releases.size());
+
+  const AdmissionStats& got = parallel.stats();
+  const AdmissionStats& want = controller.stats();
+  EXPECT_EQ(got.requested, want.requested);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.released, want.released);
+  EXPECT_EQ(got.feasibility_tests, want.feasibility_tests);
+  EXPECT_EQ(got.demand_evaluations, want.demand_evaluations);
+
+  auto mine = parallel.state().channels();
+  auto theirs = controller.state().channels();
+  auto by_id = [](const RtChannel& a, const RtChannel& b) {
+    return a.id < b.id;
+  };
+  std::sort(mine.begin(), mine.end(), by_id);
+  std::sort(theirs.begin(), theirs.end(), by_id);
+  EXPECT_EQ(mine, theirs);
+}
+
+std::vector<ChannelOp> admits_of(const std::vector<ChannelRequest>& requests) {
+  std::vector<ChannelOp> ops;
+  ops.reserve(requests.size());
+  for (const auto& request : requests) {
+    ops.push_back(ChannelOp::admit(request.spec));
+  }
+  return ops;
+}
+
+TEST(AdmissionParallel, CellLocalChurnShardsItsReleases) {
+  // Releases of channels live at the start of the call are decided inside
+  // their component's shard, so a churn stream with a release every few
+  // admits still runs as one sharded batch, in which each cell's links form
+  // one component: one shard per cell. (Were each release to cut the
+  // batch, the short batches between releases would split cells into
+  // several small components instead.)
+  const std::uint32_t nodes = 32;
+  const std::uint32_t cells = nodes / 4;
+  AdmissionController controller(nodes, make_partitioner("ADPS"));
+  ParallelAdmissionEngine parallel = make_parallel(nodes, "ADPS", 4);
+
+  const auto warmup = admits_of(celled_stream(61, 400, nodes, 4));
+  const ChurnResult first = parallel.process(warmup);
+  expect_churn_identity(warmup, first, controller, parallel);
+  std::vector<ChannelId> live;
+  for (const auto& outcome : first.admissions) {
+    if (outcome.has_value()) {
+      live.push_back(outcome->id);
+    }
+  }
+  ASSERT_GT(live.size(), 80u);
+
+  Rng rng(62);
+  std::vector<ChannelOp> ops;
+  std::size_t releases = 0;
+  for (const auto& request : celled_stream(63, 300, nodes, 4)) {
+    if (!live.empty() && rng.index(4) == 0) {
+      const auto victim = rng.index(live.size());
+      ops.push_back(ChannelOp::release(live[victim]));
+      live[victim] = live.back();
+      live.pop_back();
+      ++releases;
+    }
+    ops.push_back(ChannelOp::admit(request.spec));
+  }
+  ASSERT_GT(releases, 50u);
+  const ChurnResult churn = parallel.process(ops);
+  EXPECT_EQ(parallel.last_shard_count(), cells)
+      << "releases of live channels must not cut the batch";
+  expect_churn_identity(ops, churn, controller, parallel);
+}
+
+TEST(AdmissionParallel, ReleaseOfAnInBatchAdmitMatches) {
+  // The released ID is only assigned by the merge of the admit that
+  // precedes it in the same call, so the release cuts the batch and runs on
+  // the merged state.
+  const std::uint32_t nodes = 16;
+  AdmissionController controller(nodes, make_partitioner("ADPS"));
+  ParallelAdmissionEngine parallel = make_parallel(nodes, "ADPS", 4);
+  std::vector<ChannelOp> ops = admits_of(celled_stream(71, 120, nodes, 4));
+  // IDs 1 and 2 go to the first two accepted admits of the call.
+  ops.push_back(ChannelOp::release(ChannelId{2}));
+  ops.push_back(ChannelOp::release(ChannelId{1}));
+  for (const auto& op : admits_of(celled_stream(72, 120, nodes, 4))) {
+    ops.push_back(op);
+  }
+  const ChurnResult churn = parallel.process(ops);
+  ASSERT_EQ(churn.releases.size(), 2u);
+  EXPECT_TRUE(churn.releases[0].has_value());
+  EXPECT_TRUE(churn.releases[1].has_value());
+  EXPECT_GT(parallel.last_shard_count(), 1u);
+  expect_churn_identity(ops, churn, controller, parallel);
+}
+
+TEST(AdmissionParallel, RecycledIdReleasedTwiceInOneBatchMatches) {
+  // Release a live ID, let an in-batch admit recycle it (smallest-free
+  // allocation hands it out again), then release it a second time: the
+  // second release must tear down the recycled channel, exactly as in the
+  // sequential replay.
+  const std::uint32_t nodes = 16;
+  AdmissionController controller(nodes, make_partitioner("SDPS"));
+  ParallelAdmissionEngine parallel = make_parallel(nodes, "SDPS", 4);
+  std::vector<ChannelOp> setup;
+  for (std::uint32_t cell = 0; cell < 4; ++cell) {
+    setup.push_back(
+        ChannelOp::admit(spec(cell * 4, cell * 4 + 1, 100, 1, 50)));
+  }
+  const ChurnResult first = parallel.process(setup);
+  expect_churn_identity(setup, first, controller, parallel);
+  ASSERT_EQ(first.accepted(), 4u);  // IDs 1..4, every ID below 5 live
+
+  std::vector<ChannelOp> ops;
+  ops.push_back(ChannelOp::release(ChannelId{3}));
+  ops.push_back(ChannelOp::admit(spec(9, 10, 100, 1, 50)));  // recycles 3
+  for (const auto& op : admits_of(celled_stream(81, 100, nodes, 4))) {
+    ops.push_back(op);
+  }
+  ops.push_back(ChannelOp::release(ChannelId{3}));
+  for (const auto& op : admits_of(celled_stream(82, 100, nodes, 4))) {
+    ops.push_back(op);
+  }
+  const ChurnResult churn = parallel.process(ops);
+  ASSERT_TRUE(churn.admissions[0].has_value());
+  EXPECT_EQ(churn.admissions[0]->id, ChannelId{3});
+  ASSERT_EQ(churn.releases.size(), 2u);
+  EXPECT_TRUE(churn.releases[0].has_value());
+  EXPECT_TRUE(churn.releases[1].has_value());
+  expect_churn_identity(ops, churn, controller, parallel);
 }
 
 TEST(AdmissionParallel, SmallBatchTakesSequentialPath) {

@@ -7,7 +7,7 @@
 /// reasons and diagnostic strings, and the aggregate stats. The suite runs
 /// under ThreadSanitizer in CI: multi-producer storms, shutdown with
 /// in-flight tickets and re-partition-under-load double as the data-race
-/// net for the MPSC ring, the reorder buffer and component migration.
+/// net for the MPSC ring, the dispatcher's bursts and the engine's shards.
 
 #include "core/admission_service.hpp"
 
@@ -219,12 +219,10 @@ TEST(AdmissionService, ResidentSubmitMatchesController) {
 }
 
 TEST(AdmissionService, SmallRingsStillCompleteEveryOp) {
-  // Tiny ingest/ROB/worker rings force every backpressure path.
+  // A tiny ingest ring forces producer backpressure and one-op bursts.
   const auto ops = churn_stream(0x7777, 500, 4);
   AdmissionServiceConfig config = config_with_workers(2);
   config.queue_capacity = 4;
-  config.rob_capacity = 2;
-  config.worker_queue_capacity = 2;
   AdmissionService service(4 * kCellSize, make_partitioner("SDPS"), config);
   const ChurnResult churn = service.submit(ops);
   expect_matches_controller(ops, churn, service);
@@ -250,7 +248,7 @@ TEST(AdmissionService, TicketsExposeTheLinearizationOrder) {
 
 TEST(AdmissionService, ReleaseOfInflightAdmitIdWaitsForTheAdmit) {
   // The very first accepted admit gets ChannelId{1}; releasing it without
-  // waiting forces the dispatcher's release hazard stall.
+  // waiting names an ID that only the admit's verdict makes live.
   AdmissionService service(kCellSize, make_partitioner("SDPS"),
                            config_with_workers(1));
   const Ticket admit = service.submit_async(
@@ -267,7 +265,7 @@ TEST(AdmissionService, ReleaseOfInflightAdmitIdWaitsForTheAdmit) {
 TEST(AdmissionService, UnknownReleaseRejectsTypedLikeTheController) {
   AdmissionService service(kCellSize, make_partitioner("SDPS"),
                            config_with_workers(1));
-  // Keep an admit in flight so the hazard path (not the fast path) decides.
+  // Keep an admit in flight so the release may share its burst.
   (void)service.submit_async(ChannelOp::admit(spec(0, 1, 100, 2, 40)));
   const ReleaseOutcome outcome = service.release(ChannelId{999});
   AdmissionController oracle(kCellSize, make_partitioner("SDPS"));
@@ -304,9 +302,8 @@ TEST(AdmissionService, ShutdownCompletesInflightTickets) {
 
 TEST(AdmissionService, RepartitionUnderLoadStaysBitIdentical) {
   // Phase 1 populates six per-cell components; phase 2 admits cross-cell
-  // channels that force component merges (and, once both sides have
-  // worker-owned state, live migrations) while per-cell churn keeps the
-  // workers busy.
+  // channels that merge components from one burst to the next while
+  // per-cell churn keeps the workers busy.
   const std::uint32_t cells = 6;
   Rng rng(0x9a9a);
   AdmissionController oracle(cells * kCellSize, make_partitioner("SDPS"));
@@ -346,7 +343,6 @@ TEST(AdmissionService, RepartitionUnderLoadStaysBitIdentical) {
   AdmissionService service(cells * kCellSize, make_partitioner("SDPS"),
                            config_with_workers(4));
   const ChurnResult churn = service.submit(ops);
-  EXPECT_GT(service.migrations(), 0u);
   expect_matches_controller(ops, churn, service);
 }
 

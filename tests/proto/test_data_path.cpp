@@ -77,7 +77,7 @@ TEST(DataPath, StatsTrackSentAndDelivered) {
   EXPECT_TRUE(stack.network().simulator().run_all());
 
   const auto stats = stack.network().stats().channel(channel->id);
-  ASSERT_TRUE(stats.has_value());
+  ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->frames_sent, 6u);
   EXPECT_EQ(stats->frames_delivered, 6u);
   EXPECT_EQ(stats->deadline_misses, 0u);
@@ -117,7 +117,7 @@ TEST(PeriodicSender, SendsEveryPeriod) {
   // Releases at +0, +100, …, +900 — ten messages in the first 999 slots.
   EXPECT_EQ(sender.messages_sent(), 10u);
   const auto stats = stack.network().stats().channel(channel->id);
-  ASSERT_TRUE(stats.has_value());
+  ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->frames_sent, 30u);
 }
 

@@ -20,12 +20,14 @@
 namespace rtether::scenario {
 namespace {
 
+/// Corpus file names (not paths): gtest prints the parameter into the
+/// ctest name, which must not depend on where the checkout lives.
 std::vector<std::string> corpus_files() {
   std::vector<std::string> files;
   for (const auto& entry :
        std::filesystem::directory_iterator(RTETHER_SCENARIO_CORPUS_DIR)) {
     if (entry.path().extension() == ".json") {
-      files.push_back(entry.path().string());
+      files.push_back(entry.path().filename().string());
     }
   }
   std::sort(files.begin(), files.end());
@@ -46,7 +48,8 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusReplay,
                          ::testing::ValuesIn(corpus_files()), test_name);
 
 TEST_P(CorpusReplay, ReplaysGreen) {
-  const auto spec = load_scenario(GetParam());
+  const auto spec = load_scenario(std::string(RTETHER_SCENARIO_CORPUS_DIR) +
+                                  "/" + GetParam());
   ASSERT_TRUE(spec.has_value()) << spec.error();
   const auto result = run_scenario(*spec);
   EXPECT_TRUE(result.passed) << spec->summary() << "\n" << result.summary();

@@ -80,7 +80,7 @@ TEST(SimNetwork, RecordsDeliveryStats) {
   EXPECT_TRUE(net.simulator().run_all());
 
   const auto stats = net.stats().channel(ChannelId(5));
-  ASSERT_TRUE(stats.has_value());
+  ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->frames_sent, 1u);
   EXPECT_EQ(stats->frames_delivered, 1u);
   EXPECT_EQ(stats->deadline_misses, 0u);
@@ -96,7 +96,7 @@ TEST(SimNetwork, LateFrameCountsAsMiss) {
       50, make_rt_frame(net, NodeId{0}, NodeId{1}, 50, 5));
   EXPECT_TRUE(net.simulator().run_all());
   const auto stats = net.stats().channel(ChannelId(5));
-  ASSERT_TRUE(stats.has_value());
+  ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->deadline_misses, 1u);
   EXPECT_EQ(stats->worst_lateness_ticks, 204 - 50);
 }
