@@ -280,11 +280,12 @@ struct AdmissionService::Impl {
 namespace {
 
 AdmissionService::Mode select_service_mode(const AdmissionServiceConfig& cfg) {
-  // One policy point with the parallel engine: the resident path needs the
-  // cached checkpoint scan and at least the dispatcher plus one worker.
-  const AdmissionPath path =
-      select_path(cfg.admission.scan, cfg.workers + 1, 1, 0);
-  return cfg.workers >= 1 && path == AdmissionPath::kSharded
+  // One policy point with the parallel engine, counted the same way: the
+  // engine's pool of `workers` threads plus the dispatcher, which claims
+  // shards beside them. The resident path needs the cached checkpoint scan
+  // and at least one worker.
+  return select_path(cfg.admission.scan, cfg.workers + 1, 1, 0) ==
+                 AdmissionPath::kSharded
              ? AdmissionService::Mode::kResident
              : AdmissionService::Mode::kInline;
 }

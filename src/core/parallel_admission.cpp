@@ -94,15 +94,20 @@ BatchResult ParallelAdmissionEngine::admit_batch(
   return BatchResult{process(ops).admissions};
 }
 
+AdmissionPath ParallelAdmissionEngine::path_for(std::size_t ops) const {
+  // `select_path` is the one policy point (shared with AdmissionService).
+  // The calling thread claims shards beside the pool, so it counts.
+  return select_path(engine_.config_.scan, pool_.size() + 1, ops,
+                     min_parallel_batch_);
+}
+
 ChurnResult ParallelAdmissionEngine::process(std::span<const ChannelOp> ops) {
   last_shard_count_ = ops.empty() ? 0 : 1;
-  // `select_path` is the one policy point (shared with AdmissionService):
-  // non-checkpoint scans run the reference path, degenerate pools cannot run
-  // anything concurrently, and short streams would pay more in shard setup
-  // than the analysis costs. All of these run the sequential engine —
-  // decisions are identical on every path, only wall clock differs.
-  if (select_path(engine_.config_.scan, pool_.size(), ops.size(),
-                  min_parallel_batch_) == AdmissionPath::kSequential) {
+  // Non-checkpoint scans run the reference path, and short streams would
+  // pay more in shard setup than the analysis costs. Both run the
+  // sequential engine — decisions are identical on every path, only wall
+  // clock differs.
+  if (path_for(ops.size()) == AdmissionPath::kSequential) {
     return engine_.process(ops);
   }
 
@@ -149,8 +154,7 @@ ChurnResult ParallelAdmissionEngine::process(std::span<const ChannelOp> ops) {
 
 void ParallelAdmissionEngine::process_batch(std::span<const ChannelOp> batch,
                                             ChurnResult& result) {
-  if (select_path(engine_.config_.scan, pool_.size(), batch.size(),
-                  min_parallel_batch_) == AdmissionPath::kSequential) {
+  if (path_for(batch.size()) == AdmissionPath::kSequential) {
     append(result, engine_.process(batch));
     return;
   }

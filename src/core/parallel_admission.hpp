@@ -130,6 +130,10 @@ class ParallelAdmissionEngine {
  private:
   struct Shard;
 
+  /// The path a batch of `ops` ops takes: `select_path` over the pool plus
+  /// the calling thread, which claims shards too.
+  [[nodiscard]] AdmissionPath path_for(std::size_t ops) const;
+
   /// One batch of `process` (no release in it cuts the stream). Classifies
   /// and shards the batch and appends its outcomes to `result`; falls back
   /// to the sequential engine for short batches, when the conflict graph

@@ -191,8 +191,9 @@ TEST(AdmissionParallel, ManyThreadsFewShards) {
 }
 
 TEST(AdmissionParallel, SingleWorkerThreadMatches) {
+  // One pool thread plus the calling thread still shard the batch.
   const auto requests = celled_stream(17, 300, 16, 4);
-  expect_triple_identity(requests, 16, "ADPS", 1);
+  EXPECT_GT(expect_triple_identity(requests, 16, "ADPS", 1), 1u);
 }
 
 TEST(AdmissionParallel, MatchesAcrossSeeds) {
