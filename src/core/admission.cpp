@@ -154,12 +154,10 @@ bool cached_candidate_test(NetworkState& state,
 std::optional<RtChannel> release_channel(NetworkState& state,
                                          ChannelIdAllocator& ids,
                                          AdmissionStats& stats, ChannelId id) {
-  const auto channel = state.find_channel(id);
+  auto channel = state.remove_channel(id);
   if (!channel) {
     return std::nullopt;
   }
-  const bool removed = state.remove_channel(id);
-  RTETHER_ASSERT_MSG(removed, "channel registry out of sync");
   const bool was_live = ids.release(id);
   RTETHER_ASSERT_MSG(was_live, "channel present in state but ID not live");
   ++stats.released;

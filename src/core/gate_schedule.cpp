@@ -164,7 +164,7 @@ AdmitOutcome GateScheduleAdmission::admit(const ChannelSpec& spec) {
 }
 
 ReleaseOutcome GateScheduleAdmission::release(ChannelId id) {
-  const auto channel = state_.find_channel(id);
+  const auto channel = state_.remove_channel(id);
   if (!channel) {
     std::string detail = "channel ";
     detail += std::to_string(id.value());
@@ -186,8 +186,6 @@ ReleaseOutcome GateScheduleAdmission::release(ChannelId id) {
   erase_reservation(downlink_tables_[channel->spec.destination.value()], id);
   placements_.erase(id);
 
-  const bool removed = state_.remove_channel(id);
-  RTETHER_ASSERT_MSG(removed, "channel registry out of sync");
   const bool was_live = ids_.release(id);
   RTETHER_ASSERT_MSG(was_live, "channel present in state but ID not live");
   ++stats_.released;

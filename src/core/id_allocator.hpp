@@ -5,9 +5,9 @@
 /// 16 bits (Fig 18.3); ID 0 is reserved as "not set with a valid value yet"
 /// (§18.2.2), so at most 65535 channels can be live at once.
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -15,7 +15,7 @@ namespace rtether::core {
 
 class ChannelIdAllocator {
  public:
-  ChannelIdAllocator() = default;
+  ChannelIdAllocator();
 
   /// The reserved invalid ID (0).
   static constexpr ChannelId kInvalid{0};
@@ -26,10 +26,12 @@ class ChannelIdAllocator {
 
   /// Allocates the smallest free non-zero ID; nullopt when all 65535 IDs
   /// are live. Freed IDs are reused smallest-first, which keeps IDs dense —
-  /// useful for table-indexed lookups at the switch.
+  /// useful for table-indexed lookups at the switch. O(1): one summary-word
+  /// scan (at most 16 words) and two count-trailing-zeros.
   [[nodiscard]] std::optional<ChannelId> allocate();
 
-  /// Returns an ID to the pool; false if it was not live (double free).
+  /// Returns an ID to the pool; false if it was not live (double free) or
+  /// is the reserved 0. O(1).
   bool release(ChannelId id);
 
   [[nodiscard]] bool is_live(ChannelId id) const;
@@ -37,11 +39,16 @@ class ChannelIdAllocator {
   [[nodiscard]] std::size_t live_count() const { return live_count_; }
 
  private:
-  /// live_[v] == true when ID v is allocated. Index 0 never allocated.
-  std::vector<bool> live_ = std::vector<bool>(kCapacity + 1, false);
+  static constexpr std::size_t kWords = 65536 / 64;
+  static constexpr std::size_t kSummaryWords = kWords / 64;
+
+  /// Bit b of free_[w] is set when ID 64·w + b is free. Bit 0 of word 0
+  /// (the reserved ID 0) is never set.
+  std::array<std::uint64_t, kWords> free_;
+  /// Bit b of summary_[s] is set when free_[64·s + b] is non-zero, so the
+  /// smallest free ID is found without visiting full words.
+  std::array<std::uint64_t, kSummaryWords> summary_;
   std::size_t live_count_{0};
-  /// Smallest ID that might be free; scan resumes here.
-  std::uint32_t next_hint_{1};
 };
 
 }  // namespace rtether::core

@@ -44,12 +44,12 @@ void NetworkState::add_channel(const RtChannel& channel) {
   channels_.emplace(channel.id, channel);
 }
 
-bool NetworkState::remove_channel(ChannelId id) {
+std::optional<RtChannel> NetworkState::remove_channel(ChannelId id) {
   const auto it = channels_.find(id);
   if (it == channels_.end()) {
-    return false;
+    return std::nullopt;
   }
-  const RtChannel& channel = it->second;
+  RtChannel channel = it->second;
   const bool up_removed =
       link_mutable(channel.spec.source, LinkDirection::kUplink).remove(id);
   const bool down_removed =
@@ -58,7 +58,7 @@ bool NetworkState::remove_channel(ChannelId id) {
   RTETHER_ASSERT_MSG(up_removed && down_removed,
                      "channel registry out of sync with link task sets");
   channels_.erase(it);
-  return true;
+  return channel;
 }
 
 void NetworkState::adopt_link(NodeId node, LinkDirection dir,

@@ -55,8 +55,9 @@ class NetworkState {
   /// and both nodes exist.
   void add_channel(const RtChannel& channel);
 
-  /// Removes a channel and its pseudo-tasks; false if unknown.
-  bool remove_channel(ChannelId id);
+  /// Removes a channel and its pseudo-tasks and returns the removed
+  /// channel; nullopt if unknown.
+  std::optional<RtChannel> remove_channel(ChannelId id);
 
   /// Installs a wholesale copy of one link direction's task set — the shard
   /// projection used by the parallel admission engine. A worker's private

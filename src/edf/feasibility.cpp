@@ -141,16 +141,23 @@ Slot checked_demand_sum(Slot base, const PseudoTask& task, Slot t) {
 
 namespace {
 
-/// Adds `capacity` to the bucket for `period`, keeping buckets sorted.
-void bucket_add(std::vector<std::pair<Slot, Slot>>& buckets, Slot period,
-                Slot capacity) {
-  const auto it = std::lower_bound(
+/// The bucket for `period` in the sorted `buckets`, or where it belongs.
+std::vector<PeriodBucket>::iterator find_bucket(
+    std::vector<PeriodBucket>& buckets, Slot period) {
+  return std::lower_bound(
       buckets.begin(), buckets.end(), period,
-      [](const auto& bucket, Slot p) { return bucket.first < p; });
-  if (it != buckets.end() && it->first == period) {
-    it->second += capacity;
-  } else {
-    buckets.insert(it, {period, capacity});
+      [](const PeriodBucket& bucket, Slot p) { return bucket.period < p; });
+}
+
+/// Folds `task` into its period's bucket, keeping buckets sorted.
+void bucket_add(std::vector<PeriodBucket>& buckets, const PseudoTask& task) {
+  auto it = find_bucket(buckets, task.period);
+  if (it == buckets.end() || it->period != task.period) {
+    it = buckets.insert(it, PeriodBucket{task.period, 0, 0});
+  }
+  it->capacity += task.capacity;
+  if (task.capacity % task.period != 0) {
+    ++it->fractional;
   }
 }
 
@@ -168,7 +175,7 @@ void LinkScanCache::reset(const TaskSet& set) {
     if (hyperperiod_) {
       hyperperiod_ = checked_lcm(*hyperperiod_, task.period);
     }
-    bucket_add(period_buckets_, task.period, task.capacity);
+    bucket_add(period_buckets_, task);
   }
   utilization_.reset(set);
   busy_period_ = busy_period(set);
@@ -206,9 +213,9 @@ std::optional<Slot> LinkScanCache::trial_busy_period(
   Slot length = std::max(busy_period_.value_or(0), *backlog);
   for (;;) {
     Slot next = 0;
-    for (const auto& [period, capacity] : period_buckets_) {
+    for (const auto& bucket : period_buckets_) {
       const auto contribution =
-          checked_mul(ceil_div(length, period), capacity);
+          checked_mul(ceil_div(length, bucket.period), bucket.capacity);
       if (!contribution) return std::nullopt;
       const auto sum = checked_add(next, *contribution);
       if (!sum) return std::nullopt;
@@ -372,41 +379,60 @@ FeasibilityReport LinkScanCache::check_with(const TaskSet& set,
 void LinkScanCache::commit(const PseudoTask& task,
                            std::optional<Slot> busy_period_after) {
   RTETHER_ASSERT_MSG(task.valid(), "invalid pseudo-task");
-  // One merge pass: fold the task's demand into existing instants and splice
-  // in the task's own checkpoints with their full demand value.
-  std::vector<Slot> new_points;
-  std::vector<Slot> new_demands;
-  std::vector<std::uint32_t> new_owners;
-  new_points.reserve(points_.size() + 8);
-  new_demands.reserve(points_.size() + 8);
-  new_owners.reserve(points_.size() + 8);
-  TaskCheckpointWalker walker(task, horizon_);
-  std::size_t i = 0;
-  Slot base = 0;  // demand of the *old* set at the last old instant passed
-  while (i < points_.size() || walker.live()) {
-    Slot t;
-    std::uint32_t owners = 1;  // the new task alone, unless merged below
-    if (i < points_.size() &&
-        (!walker.live() || points_[i] <= walker.value())) {
-      t = points_[i];
-      base = demands_[i];
-      owners = owners_[i];
-      if (walker.live() && walker.value() == t) {
-        walker.advance();
-        ++owners;
-      }
-      ++i;
-    } else {
-      t = walker.value();
-      walker.advance();
-    }
-    new_points.push_back(t);
-    new_demands.push_back(checked_demand_sum(base, task, t));
-    new_owners.push_back(owners);
+  // One merge pass, in place from the back: grow the grid by the task's
+  // checkpoint count in [1, horizon_] (d, d+P, …, the walker's sequence),
+  // then fill it from the top, folding the task's demand into existing
+  // instants and splicing in its own checkpoints with their full demand.
+  // Instants below d keep their demand (the task contributes nothing there)
+  // and stay where they are.
+  std::size_t pending = 0;
+  Slot own = 0;  // the task's largest checkpoint not yet placed
+  if (task.deadline <= horizon_) {
+    const Slot steps = (horizon_ - task.deadline) / task.period;
+    pending = static_cast<std::size_t>(steps) + 1;
+    own = task.deadline + steps * task.period;
   }
-  points_ = std::move(new_points);
-  demands_ = std::move(new_demands);
-  owners_ = std::move(new_owners);
+  std::size_t i = points_.size();  // old instants not yet placed: [0, i)
+  std::size_t out = i + pending;   // merged instants fill [out, end)
+  points_.resize(out);
+  demands_.resize(out);
+  owners_.resize(out);
+  // out − i == pending + the shared instants placed so far, so a write at
+  // out − 1 never lands on the unplaced old instant i − 1.
+  while (pending > 0) {
+    --out;
+    if (i > 0 && points_[i - 1] >= own) {
+      --i;
+      const Slot t = points_[i];
+      std::uint32_t owners = owners_[i];
+      if (t == own) {
+        ++owners;
+        --pending;
+        own -= task.period;
+      }
+      points_[out] = t;
+      demands_[out] = checked_demand_sum(demands_[i], task, t);
+      owners_[out] = owners;
+    } else {
+      // The old demand here is its value at the last old instant below.
+      const Slot base = i > 0 ? demands_[i - 1] : 0;
+      points_[out] = own;
+      demands_[out] = checked_demand_sum(base, task, own);
+      owners_[out] = 1;
+      --pending;
+      own -= task.period;
+    }
+  }
+  // Each shared instant left a one-slot gap at [i, out); close it.
+  if (out > i) {
+    const auto close = [&](auto& column) {
+      column.erase(column.begin() + static_cast<std::ptrdiff_t>(i),
+                   column.begin() + static_cast<std::ptrdiff_t>(out));
+    };
+    close(points_);
+    close(demands_);
+    close(owners_);
+  }
 
   ++task_count_;
   if (task.deadline != task.period) {
@@ -416,7 +442,7 @@ void LinkScanCache::commit(const PseudoTask& task,
     hyperperiod_ = checked_lcm(*hyperperiod_, task.period);
   }
   utilization_.add(task);
-  bucket_add(period_buckets_, task.period, task.capacity);
+  bucket_add(period_buckets_, task);
   busy_period_ = busy_period_after;
 }
 
@@ -433,9 +459,9 @@ std::optional<Slot> LinkScanCache::bucket_busy_period(Slot backlog) const {
   Slot length = backlog;
   for (;;) {
     Slot next = 0;
-    for (const auto& [period, capacity] : period_buckets_) {
+    for (const auto& bucket : period_buckets_) {
       const auto contribution =
-          checked_mul(ceil_div(length, period), capacity);
+          checked_mul(ceil_div(length, bucket.period), bucket.capacity);
       if (!contribution) return std::nullopt;
       const auto sum = checked_add(next, *contribution);
       if (!sum) return std::nullopt;
@@ -486,15 +512,17 @@ void LinkScanCache::downdate(const TaskSet& set, const PseudoTask& task) {
     RTETHER_ASSERT_MSG(non_implicit_ > 0, "non-implicit underflow");
     --non_implicit_;
   }
-  const auto bucket = std::lower_bound(
-      period_buckets_.begin(), period_buckets_.end(), task.period,
-      [](const auto& b, Slot p) { return b.first < p; });
+  const auto bucket = find_bucket(period_buckets_, task.period);
   RTETHER_ASSERT_MSG(bucket != period_buckets_.end() &&
-                         bucket->first == task.period &&
-                         bucket->second >= task.capacity,
+                         bucket->period == task.period &&
+                         bucket->capacity >= task.capacity,
                      "period bucket out of sync");
-  bucket->second -= task.capacity;
-  if (bucket->second == 0) {
+  bucket->capacity -= task.capacity;
+  if (task.capacity % task.period != 0) {
+    RTETHER_ASSERT_MSG(bucket->fractional > 0, "period bucket out of sync");
+    --bucket->fractional;
+  }
+  if (bucket->capacity == 0) {
     period_buckets_.erase(bucket);
   }
 
@@ -505,13 +533,13 @@ void LinkScanCache::downdate(const TaskSet& set, const PseudoTask& task) {
   hyperperiod_ = Slot{1};
   for (const auto& remaining : period_buckets_) {
     if (!hyperperiod_) break;
-    hyperperiod_ = checked_lcm(*hyperperiod_, remaining.first);
+    hyperperiod_ = checked_lcm(*hyperperiod_, remaining.period);
   }
 
-  // Exact utilization state is accumulation-order sensitive in its overflow
-  // fallback; rebuild it over the post-removal set (O(tasks)) so verdicts
-  // stay bit-identical to the reference accumulation.
-  utilization_.reset(set);
+  // Exact utilization: O(distinct periods) off the buckets, identical to a
+  // fresh accumulation over `set` (which it falls back to in the 128-bit
+  // overflow regime).
+  utilization_.remove(set, task, period_buckets_);
   busy_period_ = bucket_busy_period(set.total_capacity());
 }
 

@@ -159,13 +159,16 @@ class LinkScanCache {
               std::optional<Slot> busy_period_after = std::nullopt);
 
   /// Mirrors a `TaskSet::remove` on the shadowed set: subtracts the task's
-  /// demand from every cached instant, drops the instants only it owned,
-  /// and re-derives the hyperperiod / utilization / busy-period state from
-  /// the post-removal `set` — O(points + tasks) instead of the
-  /// O(tasks · points) cold rescan `reset` performs. The memoized grid (and
-  /// its horizon) survives the release, so an identical re-admit is a pure
-  /// merge-walk again. `set` must be the post-removal task set; `task` the
-  /// exact pseudo-task that was removed.
+  /// demand from every cached instant and drops the instants only it owned
+  /// (one O(points) sweep), then re-derives the hyperperiod, the exact
+  /// utilization state and the busy period from the per-period buckets —
+  /// O(distinct periods) each (the busy period per fixed-point step),
+  /// against the O(tasks · points) cold rescan `reset` performs. Only a
+  /// utilization state already in its 128-bit overflow fallback is rebuilt
+  /// from `set` in O(tasks) (see `UtilizationAccumulator::remove`). The
+  /// memoized grid (and its horizon) survives the release, so an identical
+  /// re-admit is a pure merge-walk again. `set` must be the post-removal
+  /// task set; `task` the exact pseudo-task that was removed.
   void downdate(const TaskSet& set, const PseudoTask& task);
 
   /// Pre-extends the checkpoint grid to `horizon` (batch pre-pass: pay the
@@ -229,10 +232,12 @@ class LinkScanCache {
   /// Exact 128-bit utilization state of the shadowed set: trial tests of
   /// constraint 1 are O(1) instead of O(n).
   UtilizationAccumulator utilization_;
-  /// Workload aggregated per distinct period: (P, ΣC of tasks with that P),
-  /// sorted by P. Σ⌈L/P_i⌉·C_i distributes over tasks sharing a period, so
-  /// the busy-period iteration costs O(distinct periods) per step.
-  std::vector<std::pair<Slot, Slot>> period_buckets_;
+  /// Tasks aggregated per distinct period, sorted by P. Σ⌈L/P_i⌉·C_i
+  /// distributes over tasks sharing a period, so the busy-period iteration
+  /// costs O(distinct periods) per step; the per-bucket fractional counts
+  /// let `downdate` re-derive the exact utilization's denominator the same
+  /// way.
+  std::vector<PeriodBucket> period_buckets_;
   /// Busy period of the shadowed set; nullopt when unknown (after a
   /// fast-path accept) — the next trial then cold-starts from the backlog.
   std::optional<Slot> busy_period_{Slot{0}};

@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "common/assert.hpp"
+
 namespace rtether::edf {
 
 namespace {
@@ -9,6 +11,18 @@ namespace {
 __extension__ typedef unsigned __int128 UInt128;
 
 constexpr UInt128 kU128Max = ~UInt128{0};
+
+/// lcm of the periods whose bucket still holds a fractional task.
+UInt128 fractional_lcm(std::span<const PeriodBucket> buckets) {
+  UInt128 den = 1;
+  for (const auto& bucket : buckets) {
+    if (bucket.fractional == 0) continue;
+    const std::uint64_t g = std::gcd(
+        static_cast<std::uint64_t>(den % bucket.period), bucket.period);
+    den *= bucket.period / g;
+  }
+  return den;
+}
 
 }  // namespace
 
@@ -89,6 +103,39 @@ void UtilizationAccumulator::add(const PseudoTask& task) {
   upper_sum_ += upper_bound_term(task);
   if (exact_.valid && !exact_.exceeded) {
     advance(exact_, task);
+  }
+}
+
+void UtilizationAccumulator::remove(const TaskSet& set, const PseudoTask& task,
+                                    std::span<const PeriodBucket> buckets) {
+  if (!exact_.valid || exact_.exceeded) {
+    reset(set);
+    return;
+  }
+  upper_sum_ -= upper_bound_term(task);
+
+  // whole + num/den − C/P, borrowing a unit when the fraction runs short.
+  // U ≥ C/P, so the borrow always finds one; num + (den − term) < den then.
+  exact_.whole -= task.capacity / task.period;
+  const std::uint64_t cf = task.capacity % task.period;
+  if (cf != 0) {
+    const UInt128 term = UInt128{cf} * (exact_.den / task.period);
+    if (exact_.num < term) {
+      --exact_.whole;
+      exact_.num += exact_.den - term;
+    } else {
+      exact_.num -= term;
+    }
+  }
+  // The remaining fractional periods divide the new denominator, which
+  // divides the old one, so the fraction rescales onto it exactly.
+  const UInt128 den = fractional_lcm(buckets);
+  if (den != exact_.den) {
+    const UInt128 shrink = exact_.den / den;
+    RTETHER_ASSERT_MSG(shrink * den == exact_.den && exact_.num % shrink == 0,
+                       "period buckets out of sync");
+    exact_.num /= shrink;
+    exact_.den = den;
   }
 }
 

@@ -14,9 +14,25 @@
 /// control must never accept an infeasible set; conservatively rejecting a
 /// pathological one is the safe failure mode.
 
+#include <cstdint>
+#include <span>
+
 #include "edf/task_set.hpp"
 
 namespace rtether::edf {
+
+/// The tasks of one link direction that share a period, aggregated. The
+/// busy-period iteration reads the workload (Σ⌈L/P⌉·C distributes over
+/// tasks sharing P) and the utilization downdate reads which periods still
+/// contribute to the exact sum's common denominator.
+struct PeriodBucket {
+  Slot period{0};
+  /// ΣC of the tasks with this period.
+  Slot capacity{0};
+  /// How many of those tasks have C mod P ≠ 0 — the ones whose period
+  /// enters the exact sum's common denominator.
+  std::uint32_t fractional{0};
+};
 
 /// True iff ΣC_i/P_i > 1 (with the conservative fallback described above,
 /// which can only turn "≤ 1 by a hair" into "exceeds").
@@ -44,6 +60,24 @@ class UtilizationAccumulator {
 
   /// Folds one more task into the state (mirror of `TaskSet::add`).
   void add(const PseudoTask& task);
+
+  /// Takes `task` back out of the state (mirror of `TaskSet::remove`).
+  /// `set` is the post-removal set and `buckets` its per-period aggregate.
+  /// In the exact regime this is O(distinct periods): the common
+  /// denominator is re-derived as the lcm of the periods whose bucket is
+  /// still `fractional`, and the remaining fraction is rescaled onto it.
+  /// When the remaining set has U ≤ 1 the result equals a fresh
+  /// `reset(set)` exactly: the new lcm divides the old one, so it fits; a
+  /// fresh accumulation never overflows (each prefix denominator divides
+  /// that lcm and each partial numerator stays at or below its
+  /// denominator) nor decides "exceeds" early; and the reduced
+  /// (whole, num, den) state it ends in is unique. With U > 1 left the
+  /// state is still the exact sum, so both answer "exceeds" to every query.
+  /// A state that had already overflowed or decided "exceeds" stopped
+  /// reading the set part-way; that one is rebuilt with `reset(set)`
+  /// (O(n)), since the fallback verdict depends on accumulation order.
+  void remove(const TaskSet& set, const PseudoTask& task,
+              std::span<const PeriodBucket> buckets);
 
   /// Verdict for the accumulated set alone.
   [[nodiscard]] bool exceeds_one() const;

@@ -62,11 +62,12 @@ TEST(NetworkState, AsymmetricPartitionLandsOnCorrectLinks) {
 
 TEST(NetworkState, RemoveChannelCleansBothSides) {
   NetworkState state(3);
-  state.add_channel(channel(1, 0, 1, 100, 3, 20, 20));
+  const auto first = channel(1, 0, 1, 100, 3, 20, 20);
+  state.add_channel(first);
   state.add_channel(channel(2, 0, 2, 100, 3, 20, 20));
   EXPECT_EQ(state.link_load(NodeId{0}, LinkDirection::kUplink), 2u);
 
-  EXPECT_TRUE(state.remove_channel(ChannelId(1)));
+  EXPECT_EQ(state.remove_channel(ChannelId(1)), first);
   EXPECT_EQ(state.channel_count(), 1u);
   EXPECT_EQ(state.link_load(NodeId{0}, LinkDirection::kUplink), 1u);
   EXPECT_EQ(state.link_load(NodeId{1}, LinkDirection::kDownlink), 0u);
@@ -75,7 +76,7 @@ TEST(NetworkState, RemoveChannelCleansBothSides) {
 
 TEST(NetworkState, RemoveUnknownChannelFails) {
   NetworkState state(2);
-  EXPECT_FALSE(state.remove_channel(ChannelId(9)));
+  EXPECT_FALSE(state.remove_channel(ChannelId(9)).has_value());
 }
 
 TEST(NetworkState, FindChannel) {

@@ -358,6 +358,135 @@ TEST(LinkScanCache, DowndateMatchesResetAndReferenceUnderChurn) {
   }
 }
 
+/// Churned cache vs a cold reset and the reference scan, on one probe.
+void expect_probe_matches(const LinkScanCache& cache, const TaskSet& set,
+                          const PseudoTask& probe, const std::string& where) {
+  LinkScanCache cold;
+  cold.reset(set);
+  TaskSet grown = set;
+  grown.add(probe);
+  const auto churned = cache.check_with(set, probe);
+  expect_identical_reports(churned, cold.check_with(set, probe),
+                           where + " (vs cold reset)");
+  expect_identical_reports(
+      churned, check_feasibility(grown, DemandScan::kCheckpoints),
+      where + " (vs reference)");
+}
+
+/// One churn step on a link: drops a random live task (probability
+/// `p_remove`) or trial-tests `candidate` and commits it when feasible.
+void churn_step(rtether::Rng& rng, double p_remove, TaskSet& set,
+                LinkScanCache& cache, std::vector<PseudoTask>& live,
+                const PseudoTask& candidate) {
+  if (!live.empty() && rng.bernoulli(p_remove)) {
+    const std::size_t victim = rng.index(live.size());
+    const PseudoTask removed = live[victim];
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    ASSERT_TRUE(set.remove(removed.channel));
+    cache.downdate(set, removed);
+    return;
+  }
+  const auto report = cache.check_with(set, candidate);
+  if (report.scanned_bound > cache.horizon()) {
+    cache.reserve_horizon(set, report.scanned_bound);
+  }
+  if (!report.feasible) {
+    return;
+  }
+  set.add(candidate);
+  cache.commit(candidate, report.used_utilization_fast_path
+                              ? std::nullopt
+                              : std::optional<Slot>(report.scanned_bound));
+  live.push_back(candidate);
+}
+
+TEST(LinkScanCache, DowndateMatchesResetAtTheUtilizationBoundary) {
+  // Churn over the divisors of 720, mostly implicit deadlines and some
+  // C = P contracts, so constraint 1 decides many trials: after every step
+  // each probe fills the link to exactly U = 1 or one 1/720 step past it,
+  // and the churned cache must answer it like a cold reset and the
+  // reference scan, diagnostics included.
+  rtether::Rng rng(720);
+  static constexpr Slot kPeriods[] = {2,  3,  4,  5,  6,   8,   9,   10,
+                                      12, 15, 16, 18, 20,  24,  30,  36,
+                                      40, 45, 48, 60, 72,  80,  90,  120,
+                                      144, 180, 240, 360, 720};
+  for (int trial = 0; trial < 20; ++trial) {
+    TaskSet set;
+    LinkScanCache cache;
+    std::vector<PseudoTask> live;
+    std::uint16_t next_id = 1;
+    for (int step = 0; step < 80; ++step) {
+      const Slot p = kPeriods[rng.index(std::size(kPeriods))];
+      const Slot c =
+          rng.bernoulli(0.05) ? p : 1 + rng.index(std::max<Slot>(1, p / 6));
+      const Slot d = rng.bernoulli(0.8) ? p : std::min(p, c + rng.index(p));
+      ASSERT_NO_FATAL_FAILURE(churn_step(rng, 0.45, set, cache, live,
+                                         PseudoTask{ChannelId(next_id++),
+                                                    p, c, d}));
+      ASSERT_EQ(cache.task_count(), set.size());
+
+      Slot used = 0;  // U · 720
+      for (const auto& t : set.tasks()) {
+        used += t.capacity * (720 / t.period);
+      }
+      const Slot slack = 720 - used;
+      for (int k = 0; k < 3; ++k) {
+        const Slot pp = kPeriods[rng.index(std::size(kPeriods))];
+        const Slot fill = slack * pp / 720;
+        const Slot dd = rng.bernoulli(0.7)
+                            ? pp
+                            : std::min(pp, fill + 1 + rng.index(pp));
+        const std::string where = "trial " + std::to_string(trial) +
+                                  " step " + std::to_string(step) +
+                                  " probe " + std::to_string(k);
+        if (fill >= 1) {
+          expect_probe_matches(cache, set,
+                               PseudoTask{ChannelId(9999), pp, fill, dd},
+                               where + " at U<=1");
+        }
+        if (fill + 1 <= pp) {
+          expect_probe_matches(cache, set,
+                               PseudoTask{ChannelId(9999), pp, fill + 1, dd},
+                               where + " past U=1");
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(LinkScanCache, DowndateMatchesResetThroughThe128BitFallback) {
+  // Five pairwise-coprime ~32-bit periods overflow the exact utilization
+  // sum's 128-bit denominator; churning them in and out moves the cache's
+  // utilization state between the fallback and the exact regime. Implicit
+  // deadlines, so constraint 1 alone decides.
+  static constexpr Slot kPrimes[] = {4'294'967'291, 4'294'967'279,
+                                     4'294'967'231, 4'294'967'197,
+                                     4'294'967'189};
+  rtether::Rng rng(128);
+  TaskSet set;
+  LinkScanCache cache;
+  std::vector<PseudoTask> live;
+  std::uint16_t next_id = 1;
+  for (int step = 0; step < 200; ++step) {
+    const Slot p = kPrimes[rng.index(std::size(kPrimes))];
+    const Slot c = p / 1'000 * (150 + rng.index(60));  // 0.15–0.21 of P
+    ASSERT_NO_FATAL_FAILURE(churn_step(rng, 0.4, set, cache, live,
+                                       PseudoTask{ChannelId(next_id++), p,
+                                                  c, p}));
+    for (Slot j = 0; j <= 300; j += 15) {
+      const Slot pp = kPrimes[(static_cast<std::size_t>(j) + step) % 5];
+      expect_probe_matches(cache, set,
+                           PseudoTask{ChannelId(9999), pp,
+                                      1 + pp / 1'000 * j, pp},
+                           "step " + std::to_string(step) + " probe " +
+                               std::to_string(j));
+    }
+    if (HasFailure()) return;
+  }
+}
+
 TEST(LinkScanCache, DowndateToEmptyRestoresPristineState) {
   TaskSet set;
   LinkScanCache cache;
