@@ -13,6 +13,11 @@ Token-level static checks for invariants the compiler cannot express:
                          shard-worker feasibility path)
   nodiscard-expected     every `Expected`-returning public API declaration in
                          a header is `[[nodiscard]]`
+  thread-start           no `std::thread`/`std::jthread` object or
+                         `std::async` in `src/` outside the files that own
+                         threads (`ThreadPool`, the admission service's
+                         dispatcher); static members such as
+                         `std::thread::hardware_concurrency` are fine
 
 The scanner strips comments and string/char literals first (so prose such as
 "the new event" never trips a rule), then matches whole tokens. It is a
@@ -29,7 +34,7 @@ Exit status: 0 clean, 1 findings, 2 usage/config error.
 
 Usage:
   lint_invariants.py [--root DIR] [--json OUT]
-  lint_invariants.py --file PATH --profile {hot-path,lock-free,nodiscard} [--json OUT]
+  lint_invariants.py --file PATH --profile {hot-path,lock-free,nodiscard,thread-start} [--json OUT]
 
 The `--file/--profile` form checks one file against one rule family as if it
 were in that family's configured file set; the negative lint tests under
@@ -82,6 +87,16 @@ LOCK_FREE_FILES = [
 # Headers scanned for the nodiscard rule (public API surface).
 NODISCARD_SCAN_DIRS = ["src"]
 
+# Parallel work in `src/` runs on `ThreadPool::run`; the only other thread
+# is the admission service's dispatcher. Every other file is scanned for
+# thread starts.
+THREAD_SCAN_DIRS = ["src"]
+THREAD_OWNER_FILES = {
+    "src/common/thread_pool.hpp",
+    "src/common/thread_pool.cpp",
+    "src/core/admission_service.cpp",
+}
+
 # Return types that are `Expected` or a direct alias of it.
 EXPECTED_TYPES = ["Expected", "Status", "AdmitOutcome", "ReleaseOutcome"]
 
@@ -91,6 +106,7 @@ PROFILES = {
     "hot-path": ["hot-path-alloc", "hot-path-type-erasure", "hot-path-virtual"],
     "lock-free": ["lock-free-path"],
     "nodiscard": ["nodiscard-expected"],
+    "thread-start": ["thread-start"],
 }
 
 # --------------------------------------------------------------------------
@@ -313,6 +329,23 @@ def rule_lock_free_path(src: SourceFile, report: Report):
             )
 
 
+_THREAD_TOKENS = re.compile(
+    r"(?<![\w:])std\s*::\s*(?:(?:j?thread)\b(?!\s*::)|async\s*[<(])"
+)
+
+
+def rule_thread_start(src: SourceFile, report: Report):
+    for lineno, line in enumerate(src.code_lines, start=1):
+        for m in _THREAD_TOKENS.finditer(line):
+            report.add(
+                src,
+                "thread-start",
+                lineno,
+                f"thread-starting token `{m.group(0).strip()}` outside the "
+                "thread-owning files; run parallel work on ThreadPool::run",
+            )
+
+
 _EXPECTED_RET = re.compile(
     r"^(\s*)((?:\[\[[^\]]*\]\]\s*)*)"
     r"((?:(?:virtual|static|constexpr|inline|friend|explicit)\s+)*)"
@@ -358,6 +391,7 @@ RULES = {
     "hot-path-virtual": rule_hot_path_virtual,
     "lock-free-path": rule_lock_free_path,
     "nodiscard-expected": rule_nodiscard_expected,
+    "thread-start": rule_thread_start,
 }
 
 # --------------------------------------------------------------------------
@@ -412,6 +446,13 @@ def run_tree(root: Path, report: Report):
         src = load(root, rel)
         report.files_checked += 1
         rule_nodiscard_expected(src, report)
+
+    for rel in iter_tree(root, THREAD_SCAN_DIRS):
+        if rel in THREAD_OWNER_FILES:
+            continue
+        src = load(root, rel)
+        report.files_checked += 1
+        rule_thread_start(src, report)
     return 0
 
 

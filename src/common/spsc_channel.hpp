@@ -4,10 +4,10 @@
 /// Fixed-capacity single-producer / single-consumer channel of POD records
 /// — the cut-link transport of the parallel simulator (sim/parallel.hpp).
 ///
-/// One partition thread pushes, one partition thread pops; the barrier
-/// between simulation rounds moves the producer/consumer roles between
-/// pool workers with full fork/join ordering, so at any instant at most
-/// one thread is on each side. Under that contract the channel is a
+/// One partition thread pushes, one partition thread pops. Each
+/// partition stays on one thread for a whole run, and the round barrier
+/// orders one round's pushes before the next round's pops, so at any
+/// instant at most one thread is on each side. Under that contract the channel is a
 /// classic two-cursor ring: the producer owns `tail_`, the consumer owns
 /// `head_`, each publishes its cursor with a release store and reads the
 /// other side's with an acquire load. No CAS, no per-cell sequence

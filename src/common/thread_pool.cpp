@@ -1,18 +1,31 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "common/assert.hpp"
 
 namespace rtether {
 
-ThreadPool::ThreadPool(unsigned thread_count) {
-  workers_.reserve(thread_count);
-  for (unsigned i = 0; i < thread_count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+/// One run, on the caller's stack: the type-erased callable and the claim
+/// counter. Workers reach it only between joining the run and checking out
+/// of it, and `run_erased` waits for every check-out.
+struct ThreadPool::Job {
+  void (*call)(const void*, std::size_t);
+  const void* fn;
+  std::size_t count;
+  std::atomic<std::size_t> next{0};
+
+  /// The claim loop: the next unclaimed index, until none is left.
+  void work() {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      call(fn, i);
+    }
   }
-}
+};
+
+ThreadPool::ThreadPool(unsigned threads) : size_(std::max(1U, threads)) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -25,103 +38,57 @@ ThreadPool::~ThreadPool() {
   }
 }
 
+void ThreadPool::run_erased(std::size_t count,
+                            void (*call)(const void*, std::size_t),
+                            const void* fn) {
+  if (workers_.empty()) {
+    workers_.reserve(size_ - 1);
+    for (unsigned i = 1; i < size_; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  }
+  Job job{call, fn, count};
+  {
+    MutexLock lock(mutex_);
+    RTETHER_ASSERT_MSG(job_ == nullptr, "ThreadPool::run is not reentrant");
+    job_ = &job;
+    ++generation_;
+  }
+  work_available_.notify_all();
+  job.work();
+  // Every index is claimed. A worker that has not joined yet must not join
+  // now (the job dies with this frame); the ones inside finish their calls.
+  MutexLock lock(mutex_);
+  job_ = nullptr;
+  while (active_ != 0) {
+    workers_left_.wait(mutex_);
+  }
+}
+
 void ThreadPool::worker_loop() {
+  std::uint64_t joined = 0;
   for (;;) {
-    std::function<void()> job;
+    Job* job = nullptr;
     {
       MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) {
+      while (!stopping_ && generation_ == joined) {
         work_available_.wait(mutex_);
       }
       if (stopping_) {
         return;
       }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++running_;
-    }
-    job();
-    {
-      MutexLock lock(mutex_);
-      --running_;
-      if (running_ == 0 && queue_.empty()) {
-        idle_.notify_all();
+      joined = generation_;
+      job = job_;
+      if (job == nullptr) {
+        continue;  // the caller already claimed the last index
       }
+      ++active_;
     }
-  }
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  RTETHER_ASSERT_MSG(!workers_.empty(),
-                     "submit on a zero-thread pool would never run");
-  {
+    job->work();
     MutexLock lock(mutex_);
-    queue_.push_back(std::move(job));
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  MutexLock lock(mutex_);
-  while (!queue_.empty() || running_ != 0) {
-    idle_.wait(mutex_);
-  }
-}
-
-void ThreadPool::parallel_for_shards(
-    std::size_t shard_count, const std::function<void(std::size_t)>& shard) {
-  if (shard_count == 0) {
-    return;
-  }
-  if (workers_.empty() || shard_count == 1) {
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      shard(i);
+    if (--active_ == 0) {
+      workers_left_.notify_one();
     }
-    return;
-  }
-
-  // Dynamic claiming: each helper job pulls the next unclaimed shard index
-  // until none remain, so a pool of W workers balances N shards of uneven
-  // size. Completion is tracked per *shard* (not per job) — the caller may
-  // only return once every `shard(i)` call has finished.
-  struct ForkJoin {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    Mutex mutex;
-    CondVar done;
-  };
-  auto state = std::make_shared<ForkJoin>();
-
-  const std::size_t helpers = std::min<std::size_t>(workers_.size(),
-                                                    shard_count);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    // `shard` is captured by reference: the caller blocks below until every
-    // shard completed, so the callable outlives all uses. `state` is shared
-    // so a helper that wakes up late (all shards already claimed) still has
-    // somewhere safe to look.
-    submit([state, shard_count, &shard] {
-      for (;;) {
-        const std::size_t i =
-            state->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= shard_count) {
-          return;
-        }
-        shard(i);
-        const std::size_t finished =
-            state->completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-        if (finished == shard_count) {
-          // Lock before notifying so the caller cannot miss the signal
-          // between its predicate check and its wait.
-          MutexLock lock(state->mutex);
-          state->done.notify_all();
-        }
-      }
-    });
-  }
-
-  MutexLock lock(state->mutex);
-  while (state->completed.load(std::memory_order_acquire) != shard_count) {
-    state->done.wait(state->mutex);
   }
 }
 

@@ -1,23 +1,30 @@
 #pragma once
 
 /// @file thread_pool.hpp
-/// A fixed-size worker pool with a plain FIFO work queue. The parallel
-/// admission engine shards work by egress link and needs (a) a stable set of
-/// workers whose count is an explicit tuning knob (pinning a switch's
-/// admission service to N cores), and (b) fork-join: `parallel_for_shards`
-/// hands out shard indices and blocks the caller until every shard
-/// completed, and `submit` plus `wait_idle` let a caller that claims work
-/// itself join a private pool. Nothing here is clever on purpose: mutex + two
-/// condition variables, no lock-free structures, so the behaviour under
-/// ThreadSanitizer is exactly the behaviour in production — and the mutex
-/// protocol is Clang thread-safety annotated, so `-Wthread-safety` proves
-/// every queue access is under `mutex_` on every path, not just the
-/// interleavings the tests exercise.
+/// The library's one fork-join: `run(count, fn)` calls `fn(i)` once for
+/// every `i < count` on a fixed team of threads and returns when every call
+/// has returned. The team is the pool's workers plus the calling thread,
+/// which claims indices beside them instead of sleeping through the join.
+/// Indices are claimed dynamically (one atomic counter), so calls of uneven
+/// cost balance. Admission shards, campaign scenarios and PDES partitions
+/// all run through it.
+///
+/// Contract: every thread of the team joins every run, and a thread takes a
+/// new index only after its previous call has returned. So a run of
+/// `count <= size()` calls that wait for each other (a latch, a round
+/// barrier) cannot deadlock: each call gets a thread of its own.
+///
+/// Nothing here is clever on purpose: mutex + two condition variables, no
+/// spinning, so a waiting thread parks exactly as it would on any lock and
+/// the behaviour under ThreadSanitizer is the behaviour in production. The
+/// mutex protocol is Clang thread-safety annotated, so `-Wthread-safety`
+/// proves every shared field is read under `mutex_` on every path.
 
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <cstdint>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -27,48 +34,62 @@ namespace rtether {
 
 class ThreadPool {
  public:
-  /// Spawns `thread_count` workers. 0 is allowed and means "no workers":
-  /// `submit` is forbidden and `parallel_for_shards` runs inline on the
-  /// caller — useful as a deterministic degenerate mode in tests.
-  explicit ThreadPool(unsigned thread_count);
+  /// A team of `threads` threads, the caller of `run` included: the pool
+  /// keeps `threads - 1` workers, started by the first `run` that can use
+  /// them. `threads <= 1` keeps none and runs everything inline, in order.
+  explicit ThreadPool(unsigned threads);
 
-  /// Drains nothing: pending jobs that never ran are dropped, running jobs
-  /// are joined. Callers that care must `wait_idle` first.
+  /// Joins the workers. Must not race a `run`.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
-  [[nodiscard]] unsigned size() const {
-    return static_cast<unsigned>(workers_.size());
+  /// Threads that run work, the caller of `run` included (at least 1).
+  [[nodiscard]] unsigned size() const { return size_; }
+
+  /// Calls `fn(i)` once for every `i < count` and returns when every call
+  /// has returned. `fn` must not throw (the library is assert-based). One
+  /// `run` at a time per pool: a call must not `run` the same pool again,
+  /// though it may run another pool.
+  template <typename Fn>
+  void run(std::size_t count, Fn&& fn) {
+    if (size_ <= 1 || count <= 1) {
+      for (std::size_t i = 0; i < count; ++i) {
+        fn(i);
+      }
+      return;
+    }
+    using Callable = std::remove_reference_t<Fn>;
+    run_erased(
+        count,
+        [](const void* callable, std::size_t i) {
+          (*static_cast<Callable*>(const_cast<void*>(callable)))(i);
+        },
+        std::addressof(fn));
   }
 
-  /// Enqueues one job. Jobs must not throw (the library is assert-based;
-  /// a throwing job would terminate). Requires size() > 0.
-  void submit(std::function<void()> job) EXCLUDES(mutex_);
-
-  /// Blocks until the queue is empty and no worker is mid-job.
-  void wait_idle() EXCLUDES(mutex_);
-
-  /// Runs `shard(i)` for every i in [0, shard_count), distributing indices
-  /// to the workers dynamically (an atomic claim counter, so unevenly sized
-  /// shards balance), and returns only when all shards completed. The
-  /// calling thread does not execute shards itself unless the pool is empty
-  /// (size() == 0), in which case everything runs inline, in order.
-  void parallel_for_shards(std::size_t shard_count,
-                           const std::function<void(std::size_t)>& shard)
-      EXCLUDES(mutex_);
-
  private:
+  struct Job;
+
+  void run_erased(std::size_t count, void (*call)(const void*, std::size_t),
+                  const void* fn) EXCLUDES(mutex_);
   void worker_loop() EXCLUDES(mutex_);
 
+  const unsigned size_;
+  /// Started by the first `run_erased`; touched only by the running caller
+  /// and the destructor, which never overlap.
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar work_available_;
-  CondVar idle_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
-  std::size_t running_ GUARDED_BY(mutex_){0};
+  CondVar workers_left_;
+  /// The run in progress (null between runs and once the caller has found
+  /// every index claimed).
+  Job* job_ GUARDED_BY(mutex_){nullptr};
+  /// Bumped by every run, so each worker joins each run exactly once.
+  std::uint64_t generation_ GUARDED_BY(mutex_){0};
+  /// Workers inside the current run.
+  unsigned active_ GUARDED_BY(mutex_){0};
   bool stopping_ GUARDED_BY(mutex_){false};
 };
 

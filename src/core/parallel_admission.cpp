@@ -1,7 +1,6 @@
 #include "core/parallel_admission.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -71,10 +70,11 @@ ParallelAdmissionEngine::ParallelAdmissionEngine(
     std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner,
     ParallelAdmissionConfig config)
     : engine_(node_count, std::move(partitioner), config.admission),
-      pool_(config.threads != 0
-                ? config.threads
-                : std::max(1u, std::thread::hardware_concurrency())),
-      min_parallel_batch_(config.min_parallel_batch) {}
+      pool_(1 + (config.threads != 0
+                     ? config.threads
+                     : std::max(1u, std::thread::hardware_concurrency()))),
+      min_parallel_batch_(config.min_parallel_batch),
+      released_(ChannelIdAllocator::kCapacity + 1, false) {}
 
 AdmitOutcome ParallelAdmissionEngine::admit(const ChannelSpec& spec) {
   return engine_.admit(spec);
@@ -96,8 +96,8 @@ BatchResult ParallelAdmissionEngine::admit_batch(
 
 AdmissionPath ParallelAdmissionEngine::path_for(std::size_t ops) const {
   // `select_path` is the one policy point (shared with AdmissionService).
-  // The calling thread claims shards beside the pool, so it counts.
-  return select_path(engine_.config_.scan, pool_.size() + 1, ops,
+  // The pool's size counts the calling thread, which claims shards too.
+  return select_path(engine_.config_.scan, pool_.size(), ops,
                      min_parallel_batch_);
 }
 
@@ -123,7 +123,6 @@ ChurnResult ParallelAdmissionEngine::process(std::span<const ChannelOp> ops) {
       }));
   result.admissions.reserve(admits);
   result.releases.reserve(ops.size() - admits);
-  std::vector<bool> released(ChannelIdAllocator::kCapacity + 1, false);
   std::size_t begin = 0;
   while (begin < ops.size()) {
     std::size_t end = begin;
@@ -132,14 +131,14 @@ ChurnResult ParallelAdmissionEngine::process(std::span<const ChannelOp> ops) {
       if (op.kind != ChannelOp::Kind::kRelease) {
         continue;
       }
-      if (!engine_.ids_.is_live(op.id) || released[op.id.value()]) {
+      if (!engine_.ids_.is_live(op.id) || released_[op.id.value()]) {
         break;
       }
-      released[op.id.value()] = true;
+      released_[op.id.value()] = true;
     }
     for (std::size_t i = begin; i < end; ++i) {
       if (ops[i].kind == ChannelOp::Kind::kRelease) {
-        released[ops[i].id.value()] = false;
+        released_[ops[i].id.value()] = false;
       }
     }
     process_batch(ops.subspan(begin, end - begin), result);
@@ -379,23 +378,9 @@ void ParallelAdmissionEngine::process_batch(std::span<const ChannelOp> batch,
       }
     }
   };
-  // Shards are claimed dynamically (uneven shards balance) by the pool's
-  // workers and by this thread, which would otherwise sleep through the
-  // join. The pool is private to the engine, so `wait_idle` is the join.
-  std::atomic<std::size_t> next_shard{0};
-  auto claim = [&] {
-    for (std::size_t si = next_shard++; si < shards.size();
-         si = next_shard++) {
-      decide(si);
-    }
-  };
-  const std::size_t helpers =
-      std::min<std::size_t>(pool_.size(), shards.size() - 1);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool_.submit(claim);
-  }
-  claim();
-  pool_.wait_idle();
+  // The pool's workers and this thread claim shards dynamically, so
+  // uneven shards balance.
+  pool_.run(shards.size(), decide);
 
   // Phase 3 — merge in stream order. Releases leave the registry and free
   // their IDs at their own positions, and real channel IDs are allocated

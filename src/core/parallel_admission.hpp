@@ -114,7 +114,6 @@ class ParallelAdmissionEngine {
   [[nodiscard]] const DeadlinePartitioner& partitioner() const {
     return engine_.partitioner();
   }
-  [[nodiscard]] unsigned thread_count() const { return pool_.size(); }
 
   /// Reboot-reset. Safe between batches: every piece of persistent state
   /// lives in the sequential engine (shard workers only borrow it).
@@ -130,8 +129,8 @@ class ParallelAdmissionEngine {
  private:
   struct Shard;
 
-  /// The path a batch of `ops` ops takes: `select_path` over the pool plus
-  /// the calling thread, which claims shards too.
+  /// The path a batch of `ops` ops takes: `select_path` over the pool's
+  /// threads, the calling thread included.
   [[nodiscard]] AdmissionPath path_for(std::size_t ops) const;
 
   /// One batch of `process` (no release in it cuts the stream). Classifies
@@ -146,9 +145,13 @@ class ParallelAdmissionEngine {
   /// borrows it per batch and hands it back. Single-request admits and
   /// sub-threshold batches go straight through it.
   AdmissionEngine engine_;
+  /// `config.threads` workers plus the calling thread.
   ThreadPool pool_;
   std::size_t min_parallel_batch_;
   std::size_t last_shard_count_{0};
+  /// `process`'s batch cut: the IDs released so far in the batch being
+  /// scanned. Sized once; each scan clears the bits it set.
+  std::vector<bool> released_;
 };
 
 }  // namespace rtether::core

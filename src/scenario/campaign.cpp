@@ -38,14 +38,15 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   if (threads == 0) {
     threads = std::max(1U, std::thread::hardware_concurrency());
   }
-  // A single worker thread buys nothing over inline execution (and inline
-  // keeps single-threaded campaigns trivially deterministic to debug).
-  ThreadPool pool(threads <= 1 ? 0U : threads);
+  // The caller runs scenarios too; one thread runs them inline, in order
+  // (which keeps single-threaded campaigns trivially deterministic to
+  // debug).
+  ThreadPool pool(threads);
 
   Accumulator acc;
   std::atomic<bool> out_of_time{false};
 
-  pool.parallel_for_shards(config.scenario_count, [&](std::size_t index) {
+  pool.run(config.scenario_count, [&](std::size_t index) {
     if (out_of_time.load(std::memory_order_relaxed)) return;
     if (Clock::now() >= deadline) {
       out_of_time.store(true, std::memory_order_relaxed);

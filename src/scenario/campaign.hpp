@@ -24,7 +24,8 @@ struct CampaignConfig {
   /// Scenario i uses seed base_seed + i.
   std::uint64_t base_seed{1};
   std::size_t scenario_count{1000};
-  /// Worker threads; 0 = one per hardware thread.
+  /// Threads that run scenarios, the caller included; 0 = one per hardware
+  /// thread.
   unsigned threads{0};
   GeneratorConfig generator{};
   /// Injected factories must be thread-safe (the defaults are).

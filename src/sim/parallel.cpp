@@ -10,19 +10,19 @@ namespace rtether::sim {
 
 namespace {
 
-/// Lockstep round barrier for one run's persistent workers. The last worker
-/// to arrive decides — inside the critical section, while every other
-/// worker is parked — whether the run continues, and the decision is
-/// returned to all workers of that generation. Deciding anywhere else would
-/// race: a worker that read the failure flag before a slower peer set it
-/// would leave the loop while the peer parks at the barrier forever.
+/// Lockstep round barrier for one run's threads. The last thread to arrive
+/// decides — inside the critical section, while every other thread is
+/// parked — whether the run continues, and the decision is returned to all
+/// threads of that generation. Deciding anywhere else would race: a thread
+/// that read the failure flag before a slower peer set it would leave the
+/// loop while the peer parks at the barrier forever.
 class RoundBarrier {
  public:
   RoundBarrier(const FabricNetwork& fabric, std::size_t parties)
       : fabric_(fabric), parties_(parties) {}
 
-  /// One fork/join point. `last_round` is a pure function of the fixed
-  /// round schedule, so every worker passes the same value. Returns true
+  /// One round boundary. `last_round` is a pure function of the fixed
+  /// round schedule, so every thread passes the same value. Returns true
   /// when the run stops after this round.
   [[nodiscard]] bool arrive(bool last_round) EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -30,7 +30,7 @@ class RoundBarrier {
     if (rounds_seen_ == parties_) {
       rounds_seen_ = 0;
       ++rounds_;
-      // All round work happened-before this point (every worker holds the
+      // All round work happened-before this point (every thread holds the
       // mutex on arrival), so the failure flag read here is complete.
       stop_ = last_round || fabric_.failed();
       ++generation_;
@@ -44,7 +44,7 @@ class RoundBarrier {
     return stop_;
   }
 
-  /// Completed rounds. Call after the workers joined (`wait_idle`).
+  /// Completed rounds. Call after the run returned.
   [[nodiscard]] std::uint64_t rounds() EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     return rounds_;
@@ -79,8 +79,7 @@ bool ParallelSimulator::run_until(Tick until,
                : 0;
   };
 
-  const std::size_t workers = pool_.size();
-  if (workers == 0) {
+  if (sequential_) {
     // Sequential baseline: the identical round schedule, inline.
     while (now_ < until) {
       const Tick target = std::min(until, now_ + lookahead);
@@ -95,29 +94,25 @@ bool ParallelSimulator::run_until(Tick until,
     return !fabric_.failed();
   }
 
-  // Parallel mode: one persistent job per worker for the whole run —
-  // workers loop over rounds with a barrier between them, so the per-round
-  // cost is one mutex/condvar cycle per worker, not a pool submission.
-  // Partition ownership is static (p ≡ w mod workers): partition p's
-  // kernel, stats and cut-edge cursors are touched by exactly one thread
-  // between any two barriers.
-  RoundBarrier barrier(fabric_, workers);
+  // Parallel mode: one call per thread for the whole run — each loops over
+  // the rounds with a barrier between them, so the per-round cost is one
+  // mutex/condvar cycle per thread, not a fork/join. Partition ownership is
+  // static (p ≡ w mod threads): partition p's kernel, stats and cut-edge
+  // cursors are touched by exactly one thread between any two barriers.
+  const std::size_t threads = pool_.size();
+  RoundBarrier barrier(fabric_, threads);
   const Tick start = now_;
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool_.submit([this, &barrier, &round_budget, w, workers, partitions,
-                  lookahead, until, start] {
-      Tick now = start;
-      for (;;) {
-        const Tick target = std::min(until, now + lookahead);
-        for (std::size_t p = w; p < partitions; p += workers) {
-          (void)fabric_.run_round(p, target, round_budget(p));
-        }
-        now = target;
-        if (barrier.arrive(target >= until)) break;
+  pool_.run(threads, [&](std::size_t w) {
+    Tick now = start;
+    for (;;) {
+      const Tick target = std::min(until, now + lookahead);
+      for (std::size_t p = w; p < partitions; p += threads) {
+        (void)fabric_.run_round(p, target, round_budget(p));
       }
-    });
-  }
-  pool_.wait_idle();
+      now = target;
+      if (barrier.arrive(target >= until)) break;
+    }
+  });
   rounds_ += barrier.rounds();
   now_ = until;
   return !fabric_.failed();

@@ -508,6 +508,48 @@ TEST(AdmissionParallel, RecycledIdReleasedTwiceInOneBatchMatches) {
   expect_churn_identity(ops, churn, controller, parallel);
 }
 
+TEST(AdmissionParallel, IdRecycledByOneCallIsReleasedInShardByTheNext) {
+  // `process` remembers the IDs released so far in a batch to cut the
+  // stream at a second release of one; that memory must not leak into the
+  // next call. The first call releases ID 2 and re-admits it; the second
+  // releases it again between admits of two other cells, and (the ID being
+  // live at its start) decides it in its own shard without a cut.
+  const std::uint32_t nodes = 16;
+  AdmissionController controller(nodes, make_partitioner("ADPS"));
+  ParallelAdmissionEngine parallel = make_parallel(nodes, "ADPS", 4);
+  std::vector<ChannelOp> setup;
+  for (std::uint32_t cell = 0; cell < 4; ++cell) {
+    setup.push_back(
+        ChannelOp::admit(spec(cell * 4, cell * 4 + 1, 100, 1, 50)));
+  }
+  const ChurnResult warm = parallel.process(setup);
+  expect_churn_identity(setup, warm, controller, parallel);
+  ASSERT_EQ(warm.accepted(), 4u);  // IDs 1..4
+
+  const std::vector<ChannelOp> first = {
+      ChannelOp::release(ChannelId{2}),
+      ChannelOp::admit(spec(4, 6, 100, 1, 50)),  // recycles 2
+      ChannelOp::admit(spec(8, 10, 100, 1, 50)),
+  };
+  const ChurnResult recycled = parallel.process(first);
+  EXPECT_EQ(parallel.last_shard_count(), 2u);
+  ASSERT_TRUE(recycled.admissions[0].has_value());
+  EXPECT_EQ(recycled.admissions[0]->id, ChannelId{2});
+  expect_churn_identity(first, recycled, controller, parallel);
+
+  const std::vector<ChannelOp> second = {
+      ChannelOp::admit(spec(0, 2, 100, 1, 50)),
+      ChannelOp::release(ChannelId{2}),
+      ChannelOp::admit(spec(12, 14, 100, 1, 50)),
+  };
+  const ChurnResult churn = parallel.process(second);
+  ASSERT_EQ(churn.releases.size(), 1u);
+  EXPECT_TRUE(churn.releases[0].has_value());
+  EXPECT_EQ(parallel.last_shard_count(), 3u)
+      << "a release from the previous call must not cut this one";
+  expect_churn_identity(second, churn, controller, parallel);
+}
+
 TEST(AdmissionParallel, SmallBatchTakesSequentialPath) {
   ParallelAdmissionEngine parallel = make_parallel(8, "ADPS", 4,
                                                    /*min_parallel_batch=*/64);
