@@ -46,15 +46,15 @@ namespace {
 /// Cell-local constrained-deadline request stream (d < P keeps the demand
 /// scan off the Liu & Layland shortcut; cell-locality keeps the conflict
 /// graph sharded, one component per cell).
-std::vector<ChannelRequest> make_celled_stream(std::uint64_t seed,
-                                               std::size_t count,
-                                               std::uint32_t nodes,
-                                               std::uint32_t cell_size) {
+std::vector<ChannelOp> make_celled_stream(std::uint64_t seed,
+                                          std::size_t count,
+                                          std::uint32_t nodes,
+                                          std::uint32_t cell_size) {
   Rng rng(seed);
   const std::uint32_t cells = nodes / cell_size;
   static constexpr Slot kPeriods[] = {40, 60, 80, 100, 150, 200, 300};
-  std::vector<ChannelRequest> requests;
-  requests.reserve(count);
+  std::vector<ChannelOp> ops;
+  ops.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto cell = static_cast<std::uint32_t>(rng.index(cells));
     const std::uint32_t base = cell * cell_size;
@@ -67,10 +67,10 @@ std::vector<ChannelRequest> make_celled_stream(std::uint64_t seed,
     const Slot capacity = 1 + rng.index(4);
     const Slot deadline =
         2 * capacity + rng.index(period / 2 - 2 * capacity + 1);
-    requests.push_back(ChannelRequest{
-        ChannelSpec{NodeId{src}, NodeId{dst}, period, capacity, deadline}});
+    ops.push_back(ChannelOp::admit(
+        ChannelSpec{NodeId{src}, NodeId{dst}, period, capacity, deadline}));
   }
-  return requests;
+  return ops;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -91,14 +91,9 @@ constexpr int kRepetitions = 3;
 /// Replays the stream through any `AdmissionBackend` kind; best-of-N wall
 /// time of the backend's own `submit` path.
 RunResult run_backend(const std::string& kind,
-                      const std::vector<ChannelRequest>& requests,
+                      const std::vector<ChannelOp>& ops,
                       std::uint32_t nodes, const std::string& scheme,
                       unsigned threads) {
-  std::vector<ChannelOp> ops;
-  ops.reserve(requests.size());
-  for (const auto& request : requests) {
-    ops.push_back(ChannelOp::admit(request.spec));
-  }
   RunResult result;
   result.seconds = 1e300;
   for (int rep = 0; rep < kRepetitions; ++rep) {

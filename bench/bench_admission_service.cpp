@@ -144,34 +144,15 @@ struct RunResult {
   bool identical{true};
 };
 
-/// The batched baseline drives the raw `AdmissionEngine`: runs of admits
-/// flushed through `admit_batch`, releases one at a time — the fastest
-/// single-threaded path the library has, with no service front door.
+/// The batched baseline drives the raw `AdmissionEngine::process`: each run
+/// of admits shares one per-link pre-pass, releases apply one at a time —
+/// the fastest single-threaded path the library has, with no service front
+/// door.
 double time_batched_once(const ChurnStream& stream, std::uint32_t nodes,
                          bool& identical) {
   AdmissionEngine engine(nodes, make_partitioner(kScheme));
-  ChurnResult churn;
-  churn.admissions.reserve(stream.expected.admissions.size());
-  churn.releases.reserve(stream.expected.releases.size());
-  std::vector<ChannelRequest> run;
   const auto start = std::chrono::steady_clock::now();
-  const auto flush = [&] {
-    if (run.empty()) return;
-    auto batch = engine.admit_batch(run);
-    for (auto& outcome : batch.outcomes) {
-      churn.admissions.push_back(std::move(outcome));
-    }
-    run.clear();
-  };
-  for (const ChannelOp& op : stream.ops) {
-    if (op.kind == ChannelOp::Kind::kAdmit) {
-      run.push_back(ChannelRequest{op.spec});
-    } else {
-      flush();
-      churn.releases.push_back(engine.release(op.id));
-    }
-  }
-  flush();
+  const ChurnResult churn = engine.process(stream.ops);
   const double seconds = seconds_since(start);
   identical = identical && outcomes_match(churn, stream.expected);
   return seconds;

@@ -5,7 +5,7 @@
 /// requests against an ever-growing system state. The reference
 /// `AdmissionController` re-derives the busy period, checkpoint grid and
 /// per-instant demand from scratch for every candidate of every request;
-/// `AdmissionEngine::admit_batch` amortizes all three per link. This bench
+/// `AdmissionEngine::process` amortizes all three per link. This bench
 /// measures admits/sec on identical 10k-request streams, verifies the two
 /// paths reach identical accept/reject decisions, and reports the speedup.
 ///
@@ -35,12 +35,12 @@ namespace {
 /// Random constrained-deadline request stream: the worst case for the
 /// feasibility test (no Liu & Layland shortcut) and the realistic one for
 /// industrial RT channels (d < P).
-std::vector<ChannelRequest> make_stream(std::uint64_t seed, std::size_t count,
-                                        std::uint32_t nodes) {
+std::vector<ChannelOp> make_stream(std::uint64_t seed, std::size_t count,
+                                   std::uint32_t nodes) {
   Rng rng(seed);
   static constexpr Slot kPeriods[] = {40, 60, 80, 100, 150, 200, 300};
-  std::vector<ChannelRequest> requests;
-  requests.reserve(count);
+  std::vector<ChannelOp> ops;
+  ops.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto src = static_cast<std::uint32_t>(rng.index(nodes));
     auto dst = static_cast<std::uint32_t>(rng.index(nodes));
@@ -51,10 +51,10 @@ std::vector<ChannelRequest> make_stream(std::uint64_t seed, std::size_t count,
     const Slot capacity = 1 + rng.index(4);
     const Slot deadline =
         2 * capacity + rng.index(period / 2 - 2 * capacity + 1);
-    requests.push_back(ChannelRequest{
-        ChannelSpec{NodeId{src}, NodeId{dst}, period, capacity, deadline}});
+    ops.push_back(ChannelOp::admit(
+        ChannelSpec{NodeId{src}, NodeId{dst}, period, capacity, deadline}));
   }
-  return requests;
+  return ops;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -76,13 +76,8 @@ constexpr int kRepetitions = 3;
 /// Replays the stream through any `AdmissionBackend` kind; best-of-N wall
 /// time of the backend's own `submit` path.
 RunResult run_backend(const std::string& kind,
-                      const std::vector<ChannelRequest>& requests,
+                      const std::vector<ChannelOp>& ops,
                       std::uint32_t nodes, const std::string& scheme) {
-  std::vector<ChannelOp> ops;
-  ops.reserve(requests.size());
-  for (const auto& request : requests) {
-    ops.push_back(ChannelOp::admit(request.spec));
-  }
   RunResult result;
   result.seconds = 1e300;
   for (int rep = 0; rep < kRepetitions; ++rep) {

@@ -41,18 +41,6 @@ std::optional<RejectReason> reject_reason_from_string(std::string_view text) {
   return std::nullopt;
 }
 
-AdmissionPath select_path(edf::DemandScan scan, unsigned thread_count,
-                          std::size_t work_items,
-                          std::size_t min_work_items) {
-  // One policy point for every sharding-capable component. The cached shard
-  // path exists only for the checkpoint scan (the caches *are* the shards'
-  // state); below two threads nothing can run concurrently; and a workload
-  // smaller than `min_work_items` cannot amortize classify/shard/merge.
-  const bool sharded = scan == edf::DemandScan::kCheckpoints &&
-                       thread_count >= 2 && work_items >= min_work_items;
-  return sharded ? AdmissionPath::kSharded : AdmissionPath::kSequential;
-}
-
 AdmissionController::AdmissionController(
     std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner,
     AdmissionConfig config)
@@ -196,9 +184,9 @@ namespace {
 /// Shared admission scaffolding: spec validation, node checks, ID
 /// allocation and the DPS-candidate loop. `try_candidate(id, partition,
 /// reason, detail)` either commits the channel and returns true, or records
-/// its rejection and returns false. The controller and both engine paths
-/// run through this one flow, so their decisions and diagnostics cannot
-/// drift apart.
+/// its rejection and returns false. The controller and the engine run
+/// through this one flow, so their decisions and diagnostics cannot drift
+/// apart.
 template <typename TryCandidate>
 Expected<RtChannel, Rejection> admission_flow(
     const NetworkState& state, const DeadlinePartitioner& partitioner,
@@ -297,16 +285,6 @@ ReleaseOutcome AdmissionController::release(ChannelId id) {
       id);
 }
 
-std::size_t BatchResult::accepted() const {
-  return static_cast<std::size_t>(
-      std::count_if(outcomes.begin(), outcomes.end(),
-                    [](const auto& outcome) { return outcome.has_value(); }));
-}
-
-std::size_t BatchResult::rejected() const {
-  return outcomes.size() - accepted();
-}
-
 std::size_t ChurnResult::accepted() const {
   return static_cast<std::size_t>(
       std::count_if(admissions.begin(), admissions.end(),
@@ -338,14 +316,6 @@ edf::LinkScanCache& AdmissionEngine::cache(NodeId node, LinkDirection dir) {
 
 Expected<RtChannel, Rejection> AdmissionEngine::admit(
     const ChannelSpec& spec) {
-  return admit_one(spec);
-}
-
-Expected<RtChannel, Rejection> AdmissionEngine::admit_one(
-    const ChannelSpec& spec) {
-  if (config_.scan != edf::DemandScan::kCheckpoints) {
-    return admit_one_reference(spec);
-  }
   return admission_flow(
       state_, *partitioner_, ids_, stats_, spec,
       [&](ChannelId id, const DeadlinePartition& partition,
@@ -354,17 +324,6 @@ Expected<RtChannel, Rejection> AdmissionEngine::admit_one(
             state_, cache(spec.source, LinkDirection::kUplink),
             cache(spec.destination, LinkDirection::kDownlink), stats_, spec,
             id, partition, reason, why);
-      });
-}
-
-Expected<RtChannel, Rejection> AdmissionEngine::admit_one_reference(
-    const ChannelSpec& spec) {
-  return admission_flow(
-      state_, *partitioner_, ids_, stats_, spec,
-      [&](ChannelId id, const DeadlinePartition& partition,
-          RejectReason& reason, std::string& detail) {
-        return tentative_candidate_test(state_, stats_, config_.scan, spec,
-                                        id, partition, reason, detail);
       });
 }
 
@@ -428,9 +387,9 @@ void reserve_link_horizon(const edf::TaskSet& set, edf::LinkScanCache& cache,
                           const std::vector<ChannelSpec>& batch_specs) {
   // The link's hyperperiod caps any useful horizon: with U ≤ 1 the
   // synchronous busy period never exceeds it. Computed once per link from
-  // the cache's running lcm plus the batch periods.
+  // the cache's distinct periods plus the batch periods.
   Slot cap = kMaxReserveHorizon;
-  std::optional<Slot> hp = cache.cached_hyperperiod();
+  std::optional<Slot> hp = cache.hyperperiod();
   for (const auto& spec : batch_specs) {
     if (!hp) break;
     hp = checked_lcm(*hp, spec.period);
@@ -446,8 +405,7 @@ void reserve_link_horizon(const edf::TaskSet& set, edf::LinkScanCache& cache,
 
 }  // namespace admission_internal
 
-void AdmissionEngine::prepare_links(
-    std::span<const ChannelRequest> requests) {
+void AdmissionEngine::prepare_links(std::span<const ChannelOp> admits) {
   // Sort the batch per link direction (egress downlinks and ingress
   // uplinks): key = node × 2 + direction. A counting-sort scatter — the key
   // space is dense and known, so O(requests + links) beats a comparator
@@ -455,8 +413,8 @@ void AdmissionEngine::prepare_links(
   const std::size_t key_space = std::size_t{state_.node_count()} * 2;
   std::vector<std::uint32_t> offsets(key_space + 1, 0);
   auto each_key = [&](auto&& visit) {
-    for (const auto& request : requests) {
-      const auto& spec = request.spec;
+    for (const ChannelOp& op : admits) {
+      const ChannelSpec& spec = op.spec;
       if (!spec.valid() || !state_.node_exists(spec.source) ||
           !state_.node_exists(spec.destination)) {
         continue;
@@ -494,41 +452,24 @@ void AdmissionEngine::prepare_links(
   }
 }
 
-BatchResult AdmissionEngine::admit_batch(
-    std::span<const ChannelRequest> requests) {
-  if (config_.scan == edf::DemandScan::kCheckpoints) {
-    prepare_links(requests);
-  }
-  BatchResult result;
-  result.outcomes.reserve(requests.size());
-  for (const auto& request : requests) {
-    result.outcomes.push_back(admit_one(request.spec));
-  }
-  return result;
-}
-
 ChurnResult AdmissionEngine::process(std::span<const ChannelOp> ops) {
   ChurnResult result;
-  std::vector<ChannelRequest> run;
-  auto flush = [&] {
-    if (run.empty()) {
-      return;
+  for (std::size_t begin = 0; begin < ops.size();) {
+    if (ops[begin].kind == ChannelOp::Kind::kRelease) {
+      result.releases.push_back(release(ops[begin++].id));
+      continue;
     }
-    BatchResult batch = admit_batch(run);
-    for (auto& outcome : batch.outcomes) {
-      result.admissions.push_back(std::move(outcome));
+    std::size_t end = begin;
+    while (end < ops.size() && ops[end].kind == ChannelOp::Kind::kAdmit) {
+      ++end;
     }
-    run.clear();
-  };
-  for (const ChannelOp& op : ops) {
-    if (op.kind == ChannelOp::Kind::kAdmit) {
-      run.push_back(ChannelRequest{op.spec});
-    } else {
-      flush();
-      result.releases.push_back(release(op.id));
+    const auto admits = ops.subspan(begin, end - begin);
+    prepare_links(admits);
+    for (const ChannelOp& op : admits) {
+      result.admissions.push_back(admit(op.spec));
     }
+    begin = end;
   }
-  flush();
   return result;
 }
 
@@ -537,10 +478,6 @@ ReleaseOutcome AdmissionEngine::release(ChannelId id) {
       admission_internal::release_channel(state_, ids_, stats_, id);
   if (!channel) {
     return admission_internal::make_release_outcome(false, id);
-  }
-  if (config_.scan != edf::DemandScan::kCheckpoints) {
-    // Reference-path engines never populate the caches; nothing to shrink.
-    return id;
   }
   const ChannelSpec& spec = channel->spec;
   admission_internal::downdate_link_cache(

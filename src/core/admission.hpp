@@ -74,7 +74,10 @@ enum class ReleasePolicy : std::uint8_t {
 
 /// Tuning knobs for the admission controller.
 struct AdmissionConfig {
-  /// Demand-scan strategy for constraint 2 (paper default: checkpoints).
+  /// Demand-scan strategy for constraint 2 of the reference
+  /// `AdmissionController` (paper default: checkpoints). Every scan reaches
+  /// the same verdict, first violation and demand; the cached paths always
+  /// run the checkpoint scan through their `LinkScanCache`s.
   edf::DemandScan scan{edf::DemandScan::kCheckpoints};
   /// Cache maintenance on channel release (cached paths only).
   ReleasePolicy release{ReleasePolicy::kDowndate};
@@ -135,19 +138,6 @@ class AdmissionController {
   AdmissionStats stats_;
 };
 
-/// One request in a batch submitted to `AdmissionEngine::admit_batch`.
-struct ChannelRequest {
-  ChannelSpec spec;
-};
-
-/// Outcome of a batch: one result per request, in submission order.
-struct BatchResult {
-  std::vector<AdmitOutcome> outcomes;
-
-  [[nodiscard]] std::size_t accepted() const;
-  [[nodiscard]] std::size_t rejected() const;
-};
-
 /// One step of a mixed admit/release stream — the op vocabulary shared by
 /// `AdmissionBackend::submit`, `AdmissionEngine::process`,
 /// `ParallelAdmissionEngine::process` and the `AdmissionService` ingest
@@ -187,23 +177,6 @@ struct ChurnResult {
   [[nodiscard]] std::size_t rejected() const;
 };
 
-/// Which execution structure an admission component should use for a given
-/// workload shape. One policy point shared by `ParallelAdmissionEngine`
-/// (per batch) and `AdmissionService` (at construction), so
-/// the fallback heuristics cannot drift between the two.
-enum class AdmissionPath : std::uint8_t {
-  kSequential,  ///< in-order single-threaded engine path
-  kSharded,     ///< conflict-component sharding across workers
-};
-
-/// `kSharded` iff the scan strategy supports the cached shard path
-/// (checkpoints), at least two threads can make progress, and the workload
-/// amortizes the sharding overhead (`work_items >= min_work_items`).
-[[nodiscard]] AdmissionPath select_path(edf::DemandScan scan,
-                                        unsigned thread_count,
-                                        std::size_t work_items,
-                                        std::size_t min_work_items);
-
 /// High-throughput admission pipeline.
 ///
 /// `AdmissionController` re-derives the full feasibility state — busy
@@ -221,9 +194,9 @@ enum class AdmissionPath : std::uint8_t {
 ///   * a `edf::LinkScanCache` per link direction memoizes the checkpoint
 ///     grid and per-instant demand, so each trial test is a merge-walk in
 ///     O(checkpoints) instead of O(tasks · checkpoints);
-///   * `admit_batch` pre-sorts the batch per egress link and sizes each
-///     touched link's grid (busy-period horizon, running-lcm hyperperiod)
-///     once per link instead of once per request;
+///   * `process` pre-sorts each run of admits per egress link and sizes
+///     each touched link's grid (busy-period horizon, capped by the link's
+///     hyperperiod) once per link instead of once per request;
 ///   * rejected candidates never touch the system state, so there is no
 ///     tentative add/remove churn on the hot path.
 ///
@@ -233,9 +206,9 @@ enum class AdmissionPath : std::uint8_t {
 /// harmless accumulation-order differences versus a controller that has
 /// churned through tentative add/remove cycles.
 ///
-/// Scan strategies other than the default `kCheckpoints` bypass the caches
-/// and run the reference `check_feasibility` path (still in order, still
-/// identical decisions).
+/// The trials always run the paper's checkpoint scan (`config.scan` is the
+/// reference controller's); every scan strategy reaches the same decision
+/// and diagnostic, so the engine matches a controller configured with any.
 class AdmissionEngine {
  public:
   AdmissionEngine(std::uint32_t node_count,
@@ -246,14 +219,11 @@ class AdmissionEngine {
   /// previous admits and batches.
   [[nodiscard]] AdmitOutcome admit(const ChannelSpec& spec);
 
-  /// Admits a batch. Results are 1:1 with `requests` in submission order.
-  [[nodiscard]] BatchResult admit_batch(std::span<const ChannelRequest> requests);
-
   /// Drives a mixed admit/release stream in order: each run of consecutive
-  /// admits goes through `admit_batch` (so the batch pre-pass stays in
-  /// play) and each release applies in place. The one churn loop shared by
-  /// the batched backend, the inline service and the parallel engine's
-  /// sequential fallback.
+  /// admits shares one batch pre-pass (`prepare_links`) and is then admitted
+  /// one by one; each release applies in place. The one batch entry point,
+  /// shared by the batched backend, the inline service and the parallel
+  /// engine's sequential fallback.
   [[nodiscard]] ChurnResult process(std::span<const ChannelOp> ops);
 
   /// Releases an established channel (teardown); typed `kUnknownChannel`
@@ -284,19 +254,11 @@ class AdmissionEngine {
   }
 
  private:
-  [[nodiscard]] Expected<RtChannel, Rejection> admit_one(
-      const ChannelSpec& spec);
-
-  /// Reference-path admit for non-checkpoint scan strategies: tentative
-  /// add / test / roll back, exactly like `AdmissionController::request`.
-  [[nodiscard]] Expected<RtChannel, Rejection> admit_one_reference(
-      const ChannelSpec& spec);
-
   [[nodiscard]] edf::LinkScanCache& cache(NodeId node, LinkDirection dir);
 
-  /// Batch pre-pass: sort the batch per egress/ingress link and pre-size
-  /// each touched link's scan cache once.
-  void prepare_links(std::span<const ChannelRequest> requests);
+  /// Batch pre-pass over a run of admits: sort it per egress/ingress link
+  /// and pre-size each touched link's scan cache once.
+  void prepare_links(std::span<const ChannelOp> admits);
 
   /// The parallel engine wraps this one: it borrows the per-link caches for
   /// its shard workers and replays accepted decisions through `state_` and

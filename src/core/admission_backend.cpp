@@ -130,8 +130,7 @@ class ServiceBackend final : public AdmissionBackend {
                  std::unique_ptr<DeadlinePartitioner> partitioner,
                  const BackendConfig& config)
       : service_(node_count, std::move(partitioner),
-                 AdmissionServiceConfig{config.admission, config.threads,
-                                        config.service_queue_capacity}) {}
+                 AdmissionServiceConfig{config.admission, config.threads}) {}
 
   [[nodiscard]] std::string name() const override { return "service"; }
 
@@ -181,9 +180,8 @@ class ServiceBackend final : public AdmissionBackend {
 class TtBackend final : public AdmissionBackend {
  public:
   TtBackend(std::uint32_t node_count,
-            std::unique_ptr<DeadlinePartitioner> partitioner,
-            const BackendConfig& config)
-      : admission_(node_count, std::move(partitioner), config.admission) {}
+            std::unique_ptr<DeadlinePartitioner> partitioner)
+      : admission_(node_count, std::move(partitioner)) {}
 
   [[nodiscard]] std::string name() const override { return "tt"; }
 
@@ -251,8 +249,7 @@ std::unique_ptr<AdmissionBackend> make_admission_backend(
                                             config);
   }
   if (kind == "tt") {
-    return std::make_unique<TtBackend>(node_count, std::move(partitioner),
-                                       config);
+    return std::make_unique<TtBackend>(node_count, std::move(partitioner));
   }
   return nullptr;
 }

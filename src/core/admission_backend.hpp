@@ -40,8 +40,6 @@ struct BackendConfig {
   unsigned threads{2};
   /// Minimum admit-run length before the parallel engine shards a batch.
   std::size_t min_parallel_batch{64};
-  /// Ingest ring depth for the service kind.
-  std::size_t service_queue_capacity{4096};
 };
 
 class AdmissionBackend {
@@ -101,8 +99,8 @@ class AdmissionBackend {
 
 /// Creates a backend:
 ///   "controller" — the reference `AdmissionController`, one op at a time;
-///   "batched"    — `AdmissionEngine::process` (runs of admits via
-///                  `admit_batch`, releases in place);
+///   "batched"    — `AdmissionEngine::process` (each run of admits
+///                  shares one per-link pre-pass, releases in place);
 ///   "parallel"   — `ParallelAdmissionEngine::process`;
 ///   "service"    — resident `AdmissionService` (native async, bursts
 ///                  through `ParallelAdmissionEngine::process`);

@@ -48,7 +48,7 @@ bool cached_candidate_test(NetworkState& state,
 
 /// Batch pre-pass for one link direction: sizes the cache's checkpoint grid
 /// once for all of `batch_specs` (busy-period fixed point of set ∪ batch,
-/// capped by the running-lcm hyperperiod), so per-request trials never
+/// capped by the hyperperiod of set ∪ batch), so per-request trials never
 /// extend it piecemeal. `set` is the link's current task set; a no-op when
 /// the aggregate diverges or overflows (lazy extension covers it).
 void reserve_link_horizon(const edf::TaskSet& set, edf::LinkScanCache& cache,

@@ -168,8 +168,8 @@ struct AdmissionService::Impl {
   std::uint64_t next_seq GUARDED_BY(dispatcher_role){0};
 
   Impl(std::uint32_t nodes, std::unique_ptr<DeadlinePartitioner> part,
-       AdmissionServiceConfig cfg, Mode service_mode)
-      : config(cfg), mode(service_mode) {
+       AdmissionServiceConfig cfg)
+      : config(cfg), mode(cfg.workers >= 1 ? Mode::kResident : Mode::kInline) {
     if (mode == Mode::kInline) {
       partitioner = &inline_engine.emplace(nodes, std::move(part),
                                            cfg.admission)
@@ -277,26 +277,11 @@ struct AdmissionService::Impl {
 
 // ---------------------------------------------------------------------------
 
-namespace {
-
-AdmissionService::Mode select_service_mode(const AdmissionServiceConfig& cfg) {
-  // One policy point with the parallel engine, counted the same way: the
-  // engine's pool of `workers` threads plus the dispatcher, which claims
-  // shards beside them. The resident path needs the cached checkpoint scan
-  // and at least one worker.
-  return select_path(cfg.admission.scan, cfg.workers + 1, 1, 0) ==
-                 AdmissionPath::kSharded
-             ? AdmissionService::Mode::kResident
-             : AdmissionService::Mode::kInline;
-}
-
-}  // namespace
-
 AdmissionService::AdmissionService(
     std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner,
     AdmissionServiceConfig config)
-    : impl_(std::make_unique<Impl>(node_count, std::move(partitioner), config,
-                                   select_service_mode(config))) {}
+    : impl_(std::make_unique<Impl>(node_count, std::move(partitioner),
+                                   config)) {}
 
 AdmissionService::~AdmissionService() = default;
 

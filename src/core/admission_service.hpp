@@ -41,10 +41,9 @@ struct TicketState;
 /// Tuning knobs for `AdmissionService`.
 struct AdmissionServiceConfig {
   AdmissionConfig admission{};
-  /// Worker threads of the resident engine's pool. 0 (or a non-checkpoint
-  /// scan, which the shard path does not cache) selects inline mode: no
-  /// threads, ops complete synchronously inside `submit_async` via an
-  /// internal `AdmissionEngine`.
+  /// Worker threads of the resident engine's pool; at least one selects
+  /// resident mode. 0 selects inline mode: no threads, ops complete
+  /// synchronously inside `submit_async` via an internal `AdmissionEngine`.
   unsigned workers{0};
   /// Ingest ring capacity (producers block when full); also the largest
   /// burst the dispatcher hands the engine at once.

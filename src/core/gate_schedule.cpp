@@ -31,11 +31,9 @@ std::string placement_detail(const char* side, NodeId node, Slot horizon,
 }  // namespace
 
 GateScheduleAdmission::GateScheduleAdmission(
-    std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner,
-    AdmissionConfig config)
+    std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner)
     : state_(node_count),
       partitioner_(std::move(partitioner)),
-      config_(config),
       uplink_tables_(node_count),
       downlink_tables_(node_count) {
   RTETHER_ASSERT(partitioner_ != nullptr);

@@ -74,8 +74,7 @@ class GateScheduleAdmission {
   /// consulted for placement (TT has no deadline split to choose); it is
   /// kept for the `AdmissionBackend` accessor and reports.
   GateScheduleAdmission(std::uint32_t node_count,
-                        std::unique_ptr<DeadlinePartitioner> partitioner,
-                        AdmissionConfig config = {});
+                        std::unique_ptr<DeadlinePartitioner> partitioner);
 
   /// Admits one channel by synthesizing its gate windows, or rejects with
   /// `kUplinkInfeasible`/`kDownlinkInfeasible` when no conflict-free
@@ -122,7 +121,6 @@ class GateScheduleAdmission {
 
   NetworkState state_;
   std::unique_ptr<DeadlinePartitioner> partitioner_;
-  AdmissionConfig config_;
   ChannelIdAllocator ids_;
   AdmissionStats stats_;
   std::vector<GateTable> uplink_tables_;

@@ -227,54 +227,36 @@ Expected<MultihopChannel, Rejection> PathAdmissionController::request(
                   channel.path[hop].to_string() + ": " + report.summary());
   };
 
-  if (config_.scan == edf::DemandScan::kCheckpoints) {
-    // Cached trials: hop h tests link_h ∪ {task_h} by a merge-walk against
-    // its scan cache — verdicts and diagnostics bit-identical to the
-    // from-scratch reference below, O(checkpoints) per hop instead of
-    // O(tasks · checkpoints). Nothing is installed until every hop passes,
-    // so rejection leaves no residue by construction.
-    std::vector<edf::FeasibilityReport> reports;
-    reports.reserve(channel.path.size());
-    for (std::size_t hop = 0; hop < channel.path.size(); ++hop) {
-      const edf::TaskSet& set = state_.link(channel.path[hop]);
-      edf::LinkScanCache& cache = caches_[channel.path[hop]];
-      const edf::PseudoTask task{*id, spec.period, spec.capacity,
-                                 channel.deadlines[hop]};
-      ++stats_.feasibility_tests;
-      const auto report = cache.check_with(set, task);
-      stats_.demand_evaluations += report.demand_evaluations;
-      if (report.scanned_bound > cache.horizon()) {
-        cache.reserve_horizon(set, report.scanned_bound);
-      }
-      if (!report.feasible) {
-        return hop_reject(hop, report);
-      }
-      reports.push_back(report);
-    }
-    state_.add_channel(channel);
-    for (std::size_t hop = 0; hop < channel.path.size(); ++hop) {
-      caches_[channel.path[hop]].commit(
-          {*id, spec.period, spec.capacity, channel.deadlines[hop]},
-          reports[hop].used_utilization_fast_path
-              ? std::nullopt
-              : std::optional<Slot>(reports[hop].scanned_bound));
-    }
-    ++stats_.accepted;
-    return channel;
-  }
-
-  // Reference path (non-checkpoint scans): tentatively install, test every
-  // hop from scratch, roll back on failure.
-  state_.add_channel(channel);
+  // Cached trials: hop h tests link_h ∪ {task_h} by a merge-walk against its
+  // scan cache — verdicts and diagnostics bit-identical to a from-scratch
+  // check, O(checkpoints) per hop instead of O(tasks · checkpoints).
+  // Nothing is installed until every hop passes, so rejection leaves no
+  // residue by construction.
+  std::vector<edf::FeasibilityReport> reports;
+  reports.reserve(channel.path.size());
   for (std::size_t hop = 0; hop < channel.path.size(); ++hop) {
+    const edf::TaskSet& set = state_.link(channel.path[hop]);
+    edf::LinkScanCache& cache = caches_[channel.path[hop]];
+    const edf::PseudoTask task{*id, spec.period, spec.capacity,
+                               channel.deadlines[hop]};
     ++stats_.feasibility_tests;
-    const auto report =
-        edf::check_feasibility(state_.link(channel.path[hop]), config_.scan);
+    const auto report = cache.check_with(set, task);
     stats_.demand_evaluations += report.demand_evaluations;
+    if (report.scanned_bound > cache.horizon()) {
+      cache.reserve_horizon(set, report.scanned_bound);
+    }
     if (!report.feasible) {
-      state_.remove_channel(*id);
       return hop_reject(hop, report);
     }
+    reports.push_back(report);
+  }
+  state_.add_channel(channel);
+  for (std::size_t hop = 0; hop < channel.path.size(); ++hop) {
+    caches_[channel.path[hop]].commit(
+        {*id, spec.period, spec.capacity, channel.deadlines[hop]},
+        reports[hop].used_utilization_fast_path
+            ? std::nullopt
+            : std::optional<Slot>(reports[hop].scanned_bound));
   }
   ++stats_.accepted;
   return channel;
@@ -290,16 +272,14 @@ ReleaseOutcome PathAdmissionController::release(ChannelId id) {
   const bool was_live = ids_.release(id);
   RTETHER_ASSERT_MSG(was_live, "channel present but ID not live");
   ++stats_.released;
-  if (config_.scan == edf::DemandScan::kCheckpoints) {
-    // k-hop release fast path: every traversed link's cache sheds this
-    // channel's pseudo-task via the shared downdate helper.
-    for (std::size_t hop = 0; hop < channel->path.size(); ++hop) {
-      admission_internal::downdate_link_cache(
-          caches_[channel->path[hop]], state_.link(channel->path[hop]),
-          {id, channel->spec.period, channel->spec.capacity,
-           channel->deadlines[hop]},
-          config_.release);
-    }
+  // k-hop release fast path: every traversed link's cache sheds this
+  // channel's pseudo-task via the shared downdate helper.
+  for (std::size_t hop = 0; hop < channel->path.size(); ++hop) {
+    admission_internal::downdate_link_cache(
+        caches_[channel->path[hop]], state_.link(channel->path[hop]),
+        {id, channel->spec.period, channel->spec.capacity,
+         channel->deadlines[hop]},
+        config_.release);
   }
   return id;
 }

@@ -113,15 +113,14 @@ class AsymmetricPathPartitioner final : public PathPartitioner {
 /// Admission control over a fabric: route, split, per-link two-constraint
 /// feasibility on every hop, commit or reject with no residue.
 ///
-/// Under the default `kCheckpoints` scan each directed link carries an
-/// `edf::LinkScanCache`, exactly like the star engines: a hop's trial is an
-/// O(checkpoints) merge-walk (`check_with`), an accepted channel `commit`s
-/// into every hop's cache and a release `downdate`s them — the k-hop
-/// generalization of the star release fast path, maintained through the
-/// shared `core::admission_internal` helpers. Decisions and diagnostics are
-/// bit-identical to the from-scratch `check_feasibility` per hop (the
-/// pre-cache behavior); other scan strategies still take that reference
-/// path.
+/// Each directed link carries an `edf::LinkScanCache`, exactly like the
+/// star engines: a hop's trial is an O(checkpoints) merge-walk
+/// (`check_with`), an accepted channel `commit`s into every hop's cache and
+/// a release `downdate`s them — the k-hop generalization of the star
+/// release fast path, maintained through the shared
+/// `core::admission_internal` helpers. Decisions and diagnostics are
+/// bit-identical to a from-scratch `check_feasibility` of link ∪ task per
+/// hop, under any scan strategy. Of `config`, only `release` is read.
 class PathAdmissionController {
  public:
   PathAdmissionController(Topology topology,
@@ -145,9 +144,9 @@ class PathAdmissionController {
   AdmissionConfig config_;
   ChannelIdAllocator ids_;
   AdmissionStats stats_;
-  /// Per-directed-link scan caches (kCheckpoints scans only). A link absent
-  /// here is in the default-constructed state, which shadows the empty task
-  /// set `PathNetworkState::link` reports for untouched links.
+  /// Per-directed-link scan caches. A link absent here is in the
+  /// default-constructed state, which shadows the empty task set
+  /// `PathNetworkState::link` reports for untouched links.
   std::unordered_map<LinkId, edf::LinkScanCache> caches_;
 };
 

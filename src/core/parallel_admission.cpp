@@ -84,30 +84,13 @@ ReleaseOutcome ParallelAdmissionEngine::release(ChannelId id) {
   return engine_.release(id);
 }
 
-BatchResult ParallelAdmissionEngine::admit_batch(
-    std::span<const ChannelRequest> requests) {
-  std::vector<ChannelOp> ops;
-  ops.reserve(requests.size());
-  for (const ChannelRequest& request : requests) {
-    ops.push_back(ChannelOp::admit(request.spec));
-  }
-  return BatchResult{process(ops).admissions};
-}
-
-AdmissionPath ParallelAdmissionEngine::path_for(std::size_t ops) const {
-  // `select_path` is the one policy point (shared with AdmissionService).
-  // The pool's size counts the calling thread, which claims shards too.
-  return select_path(engine_.config_.scan, pool_.size(), ops,
-                     min_parallel_batch_);
-}
-
 ChurnResult ParallelAdmissionEngine::process(std::span<const ChannelOp> ops) {
   last_shard_count_ = ops.empty() ? 0 : 1;
-  // Non-checkpoint scans run the reference path, and short streams would
-  // pay more in shard setup than the analysis costs. Both run the
-  // sequential engine — decisions are identical on every path, only wall
-  // clock differs.
-  if (path_for(ops.size()) == AdmissionPath::kSequential) {
+  // Short streams would pay more in shard setup than the analysis costs;
+  // they run the sequential engine — decisions are identical on every
+  // path, only wall clock differs. The pool always holds at least two
+  // threads (the caller claims shards too), so length alone decides.
+  if (ops.size() < min_parallel_batch_) {
     return engine_.process(ops);
   }
 
@@ -153,7 +136,7 @@ ChurnResult ParallelAdmissionEngine::process(std::span<const ChannelOp> ops) {
 
 void ParallelAdmissionEngine::process_batch(std::span<const ChannelOp> batch,
                                             ChurnResult& result) {
-  if (path_for(batch.size()) == AdmissionPath::kSequential) {
+  if (batch.size() < min_parallel_batch_) {
     append(result, engine_.process(batch));
     return;
   }

@@ -71,7 +71,7 @@ namespace rtether::core {
 
 /// Tuning knobs for the parallel engine.
 struct ParallelAdmissionConfig {
-  /// Knobs shared with the sequential engines (demand-scan strategy).
+  /// Knobs shared with the sequential engine (release policy).
   AdmissionConfig admission{};
   /// Worker threads of the pool (the calling thread joins them while a
   /// batch is decided). 0 = one per hardware thread (at least one).
@@ -90,10 +90,6 @@ class ParallelAdmissionEngine {
                           std::unique_ptr<DeadlinePartitioner> partitioner,
                           ParallelAdmissionConfig config = {});
 
-  /// Admits a batch across all workers. Results are 1:1 with `requests` in
-  /// submission order and identical to the sequential controller's.
-  [[nodiscard]] BatchResult admit_batch(std::span<const ChannelRequest> requests);
-
   /// Single-request admission (sequential fast path, shared state).
   [[nodiscard]] AdmitOutcome admit(const ChannelSpec& spec);
 
@@ -104,7 +100,8 @@ class ParallelAdmissionEngine {
 
   /// Drives a mixed admit/release stream through the sharded path (see the
   /// file comment for where the stream is cut into batches); outcomes
-  /// match a sequential replay op by op.
+  /// match a sequential replay op by op. Streams shorter than
+  /// `min_parallel_batch` run the sequential engine's `process`.
   [[nodiscard]] ChurnResult process(std::span<const ChannelOp> ops);
 
   [[nodiscard]] const NetworkState& state() const { return engine_.state(); }
@@ -119,8 +116,8 @@ class ParallelAdmissionEngine {
   /// lives in the sequential engine (shard workers only borrow it).
   void reset() { engine_.reset(); }
 
-  /// The most shards any batch of the most recent `admit_batch`/`process`
-  /// call split into (1 when every batch ran the sequential path; 0 for an
+  /// The most shards any batch of the most recent `process` call split
+  /// into (1 when every batch ran the sequential path; 0 for an
   /// empty call or before any). Diagnostics and benches.
   [[nodiscard]] std::size_t last_shard_count() const {
     return last_shard_count_;
@@ -128,10 +125,6 @@ class ParallelAdmissionEngine {
 
  private:
   struct Shard;
-
-  /// The path a batch of `ops` ops takes: `select_path` over the pool's
-  /// threads, the calling thread included.
-  [[nodiscard]] AdmissionPath path_for(std::size_t ops) const;
 
   /// One batch of `process` (no release in it cuts the stream). Classifies
   /// and shards the batch and appends its outcomes to `result`; falls back

@@ -166,14 +166,10 @@ void bucket_add(std::vector<PeriodBucket>& buckets, const PseudoTask& task) {
 void LinkScanCache::reset(const TaskSet& set) {
   task_count_ = set.size();
   non_implicit_ = 0;
-  hyperperiod_ = Slot{1};
   period_buckets_.clear();
   for (const auto& task : set.tasks()) {
     if (task.deadline != task.period) {
       ++non_implicit_;
-    }
-    if (hyperperiod_) {
-      hyperperiod_ = checked_lcm(*hyperperiod_, task.period);
     }
     bucket_add(period_buckets_, task);
   }
@@ -438,12 +434,21 @@ void LinkScanCache::commit(const PseudoTask& task,
   if (task.deadline != task.period) {
     ++non_implicit_;
   }
-  if (hyperperiod_) {
-    hyperperiod_ = checked_lcm(*hyperperiod_, task.period);
-  }
   utilization_.add(task);
   bucket_add(period_buckets_, task);
   busy_period_ = busy_period_after;
+}
+
+std::optional<Slot> LinkScanCache::hyperperiod() const {
+  // lcm is order-independent and every partial lcm divides the full one, so
+  // folding the distinct periods gives the value (and the overflow→nullopt
+  // verdict) of a running lcm over the set's tasks in any order.
+  std::optional<Slot> lcm = Slot{1};
+  for (const auto& bucket : period_buckets_) {
+    if (!lcm) break;
+    lcm = checked_lcm(*lcm, bucket.period);
+  }
+  return lcm;
 }
 
 std::optional<Slot> LinkScanCache::bucket_busy_period(Slot backlog) const {
@@ -524,16 +529,6 @@ void LinkScanCache::downdate(const TaskSet& set, const PseudoTask& task) {
   }
   if (bucket->capacity == 0) {
     period_buckets_.erase(bucket);
-  }
-
-  // Hyperperiod: a running lcm cannot be divided back down, but lcm is
-  // order-independent — re-deriving it over the distinct periods gives the
-  // identical value (and the identical overflow→nullopt verdict) a fresh
-  // running lcm over the post-removal set would, in O(distinct periods).
-  hyperperiod_ = Slot{1};
-  for (const auto& remaining : period_buckets_) {
-    if (!hyperperiod_) break;
-    hyperperiod_ = checked_lcm(*hyperperiod_, remaining.period);
   }
 
   // Exact utilization: O(distinct periods) off the buckets, identical to a

@@ -106,10 +106,10 @@ struct FeasibilityReport {
 ///      subtracts a released task back out (each instant carries an owner
 ///      count — how many shadowed tasks have a checkpoint there — so the
 ///      released task's private instants are dropped exactly). The link's
-///      hyperperiod is a running lcm while the set only grows and is
-///      re-derived from the per-period workload buckets on release (lcm is
-///      order-independent, so the rebuilt value matches a from-scratch
-///      running lcm bit for bit, including the overflow→nullopt verdict).
+///      hyperperiod is not kept at all: `hyperperiod()` derives it on
+///      demand from the per-period workload buckets (lcm is
+///      order-independent, so the value matches a running lcm over the set
+///      bit for bit, including the overflow→nullopt verdict).
 ///
 /// Decisions are bit-identical to `check_feasibility(set ∪ {x},
 /// kCheckpoints)`: constraint 1 uses the same exact arithmetic (tasks
@@ -160,8 +160,8 @@ class LinkScanCache {
 
   /// Mirrors a `TaskSet::remove` on the shadowed set: subtracts the task's
   /// demand from every cached instant and drops the instants only it owned
-  /// (one O(points) sweep), then re-derives the hyperperiod, the exact
-  /// utilization state and the busy period from the per-period buckets —
+  /// (one O(points) sweep), then re-derives the exact utilization state
+  /// and the busy period from the per-period buckets —
   /// O(distinct periods) each (the busy period per fixed-point step),
   /// against the O(tasks · points) cold rescan `reset` performs. Only a
   /// utilization state already in its 128-bit overflow fallback is rebuilt
@@ -179,11 +179,8 @@ class LinkScanCache {
   [[nodiscard]] Slot horizon() const { return horizon_; }
 
   /// lcm of the shadowed set's periods; nullopt once it overflows 64 bits.
-  /// Maintained as a running lcm on commit and re-derived from the
-  /// per-period buckets on downdate — never recomputed per request.
-  [[nodiscard]] std::optional<Slot> cached_hyperperiod() const {
-    return hyperperiod_;
-  }
+  /// Derived on demand over the distinct periods, O(distinct periods).
+  [[nodiscard]] std::optional<Slot> hyperperiod() const;
 
   /// Number of tasks the cache believes the shadowed set holds.
   [[nodiscard]] std::size_t task_count() const { return task_count_; }
@@ -228,7 +225,6 @@ class LinkScanCache {
   std::size_t task_count_{0};
   /// Tasks with deadline != period; 0 enables the Liu & Layland fast path.
   std::size_t non_implicit_{0};
-  std::optional<Slot> hyperperiod_{Slot{1}};
   /// Exact 128-bit utilization state of the shadowed set: trial tests of
   /// constraint 1 are O(1) instead of O(n).
   UtilizationAccumulator utilization_;

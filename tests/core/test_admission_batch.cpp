@@ -20,12 +20,12 @@ ChannelSpec spec(std::uint32_t src, std::uint32_t dst, Slot p, Slot c,
 /// Randomized request stream with a mix of feasible, borderline and invalid
 /// specs. Constrained deadlines (d < P) keep the demand scan on the slow
 /// path rather than the Liu & Layland shortcut.
-std::vector<ChannelRequest> random_stream(std::uint64_t seed,
-                                          std::size_t count,
-                                          std::uint32_t nodes) {
+std::vector<ChannelOp> random_stream(std::uint64_t seed,
+                                     std::size_t count,
+                                     std::uint32_t nodes) {
   Rng rng(seed);
   static constexpr Slot kPeriods[] = {40, 60, 80, 100, 150, 200, 300};
-  std::vector<ChannelRequest> requests;
+  std::vector<ChannelOp> requests;
   requests.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto src = static_cast<std::uint32_t>(rng.index(nodes));
@@ -42,8 +42,8 @@ std::vector<ChannelRequest> random_stream(std::uint64_t seed,
     } else {
       deadline = 2 * capacity + rng.index(period - 2 * capacity + 1);
     }
-    requests.push_back(ChannelRequest{spec(src, dst, period, capacity,
-                                           deadline)});
+    requests.push_back(
+        ChannelOp::admit(spec(src, dst, period, capacity, deadline)));
   }
   return requests;
 }
@@ -58,12 +58,12 @@ void expect_equivalent(std::uint64_t seed, std::size_t count,
 
   AdmissionController controller(nodes, make_partitioner(scheme));
   AdmissionEngine engine(nodes, make_partitioner(scheme));
-  const auto batch = engine.admit_batch(requests);
-  ASSERT_EQ(batch.outcomes.size(), requests.size());
+  const auto batch = engine.process(requests);
+  ASSERT_EQ(batch.admissions.size(), requests.size());
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto expected = controller.request(requests[i].spec);
-    const auto& actual = batch.outcomes[i];
+    const auto& actual = batch.admissions[i];
     ASSERT_EQ(expected.has_value(), actual.has_value())
         << "request " << i << " (" << requests[i].spec.to_string()
         << "): sequential and batch disagree";
@@ -135,10 +135,10 @@ TEST(AdmissionBatch, ReleaseRebuildsCachesAndStaysEquivalent) {
   AdmissionEngine engine(4, make_partitioner("ADPS"));
 
   std::vector<ChannelId> admitted;
-  const auto batch1 = engine.admit_batch(first);
+  const auto batch1 = engine.process(first);
   for (std::size_t i = 0; i < first.size(); ++i) {
     const auto expected = controller.request(first[i].spec);
-    ASSERT_EQ(expected.has_value(), batch1.outcomes[i].has_value());
+    ASSERT_EQ(expected.has_value(), batch1.admissions[i].has_value());
     if (expected.has_value()) {
       admitted.push_back(expected->id);
     }
@@ -151,14 +151,14 @@ TEST(AdmissionBatch, ReleaseRebuildsCachesAndStaysEquivalent) {
   }
 
   // A second batch over the mutated state must still match.
-  const auto batch2 = engine.admit_batch(second);
+  const auto batch2 = engine.process(second);
   for (std::size_t i = 0; i < second.size(); ++i) {
     const auto expected = controller.request(second[i].spec);
-    ASSERT_EQ(expected.has_value(), batch2.outcomes[i].has_value())
+    ASSERT_EQ(expected.has_value(), batch2.admissions[i].has_value())
         << "post-release request " << i;
     if (expected.has_value()) {
-      EXPECT_EQ(expected->id, batch2.outcomes[i]->id);
-      EXPECT_EQ(expected->partition, batch2.outcomes[i]->partition);
+      EXPECT_EQ(expected->id, batch2.admissions[i]->id);
+      EXPECT_EQ(expected->partition, batch2.admissions[i]->partition);
     }
   }
 }
@@ -177,11 +177,11 @@ TEST(AdmissionBatch, RandomizedReleaseChurnStaysEquivalent) {
 
   for (std::uint64_t round = 0; round < 6; ++round) {
     const auto requests = random_stream(100 + round, 120, 5);
-    const auto batch = engine.admit_batch(requests);
-    ASSERT_EQ(batch.outcomes.size(), requests.size());
+    const auto batch = engine.process(requests);
+    ASSERT_EQ(batch.admissions.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const auto expected = controller.request(requests[i].spec);
-      const auto& actual = batch.outcomes[i];
+      const auto& actual = batch.admissions[i];
       ASSERT_EQ(expected.has_value(), actual.has_value())
           << "round " << round << " request " << i;
       if (expected.has_value()) {
@@ -219,34 +219,52 @@ TEST(AdmissionBatch, RandomizedReleaseChurnStaysEquivalent) {
 }
 
 TEST(AdmissionBatch, NonCheckpointScanFallsBackAndMatches) {
+  // Cross-scan oracle: the engine always runs the cached checkpoint scan,
+  // and must match a reference controller scanning every slot outcome for
+  // outcome — verdict, ID, partition, reason and diagnostic (the first
+  // violation t and h(t) are the same under every exact scan).
   const auto requests = random_stream(41, 80, 3);
-  AdmissionConfig config;
-  config.scan = edf::DemandScan::kEverySlot;
-  AdmissionController controller(3, make_partitioner("SDPS"), config);
-  AdmissionEngine engine(3, make_partitioner("SDPS"), config);
-  const auto batch = engine.admit_batch(requests);
+  AdmissionConfig every_slot;
+  every_slot.scan = edf::DemandScan::kEverySlot;
+  AdmissionController controller(3, make_partitioner("SDPS"), every_slot);
+  AdmissionEngine engine(3, make_partitioner("SDPS"));
+  const auto batch = engine.process(requests);
+  ASSERT_EQ(batch.admissions.size(), requests.size());
+  std::size_t infeasible = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto expected = controller.request(requests[i].spec);
-    ASSERT_EQ(expected.has_value(), batch.outcomes[i].has_value());
+    const auto& actual = batch.admissions[i];
+    ASSERT_EQ(expected.has_value(), actual.has_value()) << "request " << i;
+    if (expected.has_value()) {
+      EXPECT_EQ(*expected, *actual) << "request " << i;
+    } else {
+      EXPECT_EQ(expected.error(), actual.error()) << "request " << i;
+      if (expected.error().reason != RejectReason::kInvalidSpec) {
+        ++infeasible;
+      }
+    }
   }
+  EXPECT_GT(infeasible, 0u) << "the stream should reach the demand test's "
+                               "reject path";
+  EXPECT_EQ(engine.stats().accepted, controller.stats().accepted);
 }
 
 TEST(AdmissionBatch, EmptyBatch) {
   AdmissionEngine engine(2, make_partitioner("SDPS"));
-  const auto result = engine.admit_batch({});
-  EXPECT_TRUE(result.outcomes.empty());
+  const auto result = engine.process({});
+  EXPECT_TRUE(result.admissions.empty());
   EXPECT_EQ(result.accepted(), 0u);
   EXPECT_EQ(result.rejected(), 0u);
 }
 
-TEST(AdmissionBatch, BatchResultCounts) {
+TEST(AdmissionBatch, ChurnResultCounts) {
   AdmissionEngine engine(4, make_partitioner("SDPS"));
-  const std::vector<ChannelRequest> requests = {
-      ChannelRequest{spec(0, 1, 100, 3, 40)},
-      ChannelRequest{spec(0, 1, 100, 3, 5)},  // invalid: d < 2C
-      ChannelRequest{spec(1, 2, 100, 3, 40)},
+  const std::vector<ChannelOp> requests = {
+      ChannelOp::admit(spec(0, 1, 100, 3, 40)),
+      ChannelOp::admit(spec(0, 1, 100, 3, 5)),  // invalid: d < 2C
+      ChannelOp::admit(spec(1, 2, 100, 3, 40)),
   };
-  const auto result = engine.admit_batch(requests);
+  const auto result = engine.process(requests);
   EXPECT_EQ(result.accepted(), 2u);
   EXPECT_EQ(result.rejected(), 1u);
   EXPECT_EQ(engine.state().channel_count(), 2u);

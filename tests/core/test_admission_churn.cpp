@@ -219,16 +219,16 @@ TEST(AdmissionChurn, MultihopSdpsEvenDeadlineParityThroughChurn) {
 TEST(AdmissionChurn, ExhaustiveScanAgreesOnNearOverflowHyperperiods) {
   // Near-64-bit (non-overflowing) hyperperiods: the exhaustive oracle falls
   // back to the busy-period bound instead of materializing ~10¹⁸ instants,
-  // and the sequential, batched and parallel engines must produce identical
-  // decisions with it — pinned here with coprime near-2³¹/2³² periods whose
-  // running lcm also overflows mid-stream.
+  // and the cached batched and parallel engines (which always scan
+  // checkpoints) must reproduce the exhaustive controller's decisions —
+  // pinned here with coprime near-2³¹/2³² periods whose hyperperiod also
+  // overflows mid-stream.
   AdmissionConfig config;
   config.scan = edf::DemandScan::kExhaustive;
   const std::uint32_t nodes = 4;
   AdmissionController controller(nodes, make_partitioner("ADPS"), config);
-  AdmissionEngine engine(nodes, make_partitioner("ADPS"), config);
+  AdmissionEngine engine(nodes, make_partitioner("ADPS"));
   ParallelAdmissionConfig parallel_config;
-  parallel_config.admission = config;
   parallel_config.threads = 2;
   parallel_config.min_parallel_batch = 2;
   ParallelAdmissionEngine parallel(nodes, make_partitioner("ADPS"),
@@ -237,21 +237,21 @@ TEST(AdmissionChurn, ExhaustiveScanAgreesOnNearOverflowHyperperiods) {
   static constexpr Slot kHugePeriods[] = {
       2'147'483'647, 4'294'967'291, 3'037'000'493,
       18'446'744'073'709'551'557ULL};
-  std::vector<ChannelRequest> batch;
+  std::vector<ChannelOp> batch;
   std::vector<ChannelId> accepted;
   for (std::uint32_t i = 0; i < 12; ++i) {
     const Slot period = kHugePeriods[i % std::size(kHugePeriods)];
     const ChannelSpec request{NodeId{i % nodes}, NodeId{(i + 1) % nodes},
                               period, 1 + i % 2, 4 + 2 * (i % 3)};
-    batch.push_back(ChannelRequest{request});
+    batch.push_back(ChannelOp::admit(request));
   }
-  const auto batched = engine.admit_batch(batch);
-  const auto sharded = parallel.admit_batch(batch);
+  const auto batched = engine.process(batch);
+  const auto sharded = parallel.process(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto expected = controller.request(batch[i].spec);
-    expect_same_outcome(expected, batched.outcomes[i],
+    expect_same_outcome(expected, batched.admissions[i],
                         "request " + std::to_string(i) + " (batched)");
-    expect_same_outcome(expected, sharded.outcomes[i],
+    expect_same_outcome(expected, sharded.admissions[i],
                         "request " + std::to_string(i) + " (parallel)");
     if (expected.has_value()) {
       accepted.push_back(expected->id);

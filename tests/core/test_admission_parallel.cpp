@@ -47,11 +47,11 @@ ChannelSpec random_spec(Rng& rng, std::uint32_t src, std::uint32_t dst) {
 
 /// Uniform all-to-all traffic: the link-conflict graph almost surely
 /// collapses into one component, exercising the sequential fallback.
-std::vector<ChannelRequest> uniform_stream(std::uint64_t seed,
-                                           std::size_t count,
-                                           std::uint32_t nodes) {
+std::vector<ChannelOp> uniform_stream(std::uint64_t seed,
+                                      std::size_t count,
+                                      std::uint32_t nodes) {
   Rng rng(seed);
-  std::vector<ChannelRequest> requests;
+  std::vector<ChannelOp> requests;
   requests.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto src = static_cast<std::uint32_t>(rng.index(nodes));
@@ -59,7 +59,7 @@ std::vector<ChannelRequest> uniform_stream(std::uint64_t seed,
     if (dst == src) {
       dst = (dst + 1) % nodes;
     }
-    requests.push_back(ChannelRequest{random_spec(rng, src, dst)});
+    requests.push_back(ChannelOp::admit(random_spec(rng, src, dst)));
   }
   return requests;
 }
@@ -67,13 +67,13 @@ std::vector<ChannelRequest> uniform_stream(std::uint64_t seed,
 /// Cell-local traffic (the industrial topology: machine cells talk within
 /// themselves): source and destination share a cell of `cell_size` nodes,
 /// so the conflict graph has one component per cell and the batch shards.
-std::vector<ChannelRequest> celled_stream(std::uint64_t seed,
-                                          std::size_t count,
-                                          std::uint32_t nodes,
-                                          std::uint32_t cell_size) {
+std::vector<ChannelOp> celled_stream(std::uint64_t seed,
+                                     std::size_t count,
+                                     std::uint32_t nodes,
+                                     std::uint32_t cell_size) {
   Rng rng(seed);
   const std::uint32_t cells = nodes / cell_size;
-  std::vector<ChannelRequest> requests;
+  std::vector<ChannelOp> requests;
   requests.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto cell = static_cast<std::uint32_t>(rng.index(cells));
@@ -83,7 +83,7 @@ std::vector<ChannelRequest> celled_stream(std::uint64_t seed,
     if (dst == src) {
       dst = base + (dst - base + 1) % cell_size;
     }
-    requests.push_back(ChannelRequest{random_spec(rng, src, dst)});
+    requests.push_back(ChannelOp::admit(random_spec(rng, src, dst)));
   }
   return requests;
 }
@@ -101,7 +101,7 @@ ParallelAdmissionEngine make_parallel(std::uint32_t nodes,
 /// Drives the same stream through all three paths and requires identical
 /// outcomes everywhere. Returns the parallel engine's shard count so tests
 /// can additionally assert the path taken.
-std::size_t expect_triple_identity(const std::vector<ChannelRequest>& requests,
+std::size_t expect_triple_identity(const std::vector<ChannelOp>& requests,
                                    std::uint32_t nodes,
                                    const std::string& scheme,
                                    unsigned threads) {
@@ -109,15 +109,15 @@ std::size_t expect_triple_identity(const std::vector<ChannelRequest>& requests,
   AdmissionEngine engine(nodes, make_partitioner(scheme));
   ParallelAdmissionEngine parallel = make_parallel(nodes, scheme, threads);
 
-  const auto batched = engine.admit_batch(requests);
-  const auto sharded = parallel.admit_batch(requests);
-  EXPECT_EQ(batched.outcomes.size(), requests.size());
-  EXPECT_EQ(sharded.outcomes.size(), requests.size());
+  const auto batched = engine.process(requests);
+  const auto sharded = parallel.process(requests);
+  EXPECT_EQ(batched.admissions.size(), requests.size());
+  EXPECT_EQ(sharded.admissions.size(), requests.size());
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto expected = controller.request(requests[i].spec);
-    const auto& from_engine = batched.outcomes[i];
-    const auto& from_parallel = sharded.outcomes[i];
+    const auto& from_engine = batched.admissions[i];
+    const auto& from_parallel = sharded.admissions[i];
     EXPECT_EQ(expected.has_value(), from_parallel.has_value())
         << "request " << i << " (" << requests[i].spec.to_string()
         << "): sequential and parallel disagree";
@@ -210,20 +210,20 @@ TEST(AdmissionParallel, UdpsMatchesBatchedEngine) {
   const auto requests = celled_stream(18, 400, 16, 4);
   AdmissionEngine engine(16, make_partitioner("UDPS"));
   ParallelAdmissionEngine parallel = make_parallel(16, "UDPS", 4);
-  const auto batched = engine.admit_batch(requests);
-  const auto sharded = parallel.admit_batch(requests);
-  ASSERT_EQ(batched.outcomes.size(), sharded.outcomes.size());
-  for (std::size_t i = 0; i < batched.outcomes.size(); ++i) {
-    ASSERT_EQ(batched.outcomes[i].has_value(),
-              sharded.outcomes[i].has_value())
+  const auto batched = engine.process(requests);
+  const auto sharded = parallel.process(requests);
+  ASSERT_EQ(batched.admissions.size(), sharded.admissions.size());
+  for (std::size_t i = 0; i < batched.admissions.size(); ++i) {
+    ASSERT_EQ(batched.admissions[i].has_value(),
+              sharded.admissions[i].has_value())
         << "request " << i;
-    if (batched.outcomes[i].has_value()) {
-      EXPECT_EQ(batched.outcomes[i]->id, sharded.outcomes[i]->id);
-      EXPECT_EQ(batched.outcomes[i]->partition,
-                sharded.outcomes[i]->partition);
+    if (batched.admissions[i].has_value()) {
+      EXPECT_EQ(batched.admissions[i]->id, sharded.admissions[i]->id);
+      EXPECT_EQ(batched.admissions[i]->partition,
+                sharded.admissions[i]->partition);
     } else {
-      EXPECT_EQ(batched.outcomes[i].error().detail,
-                sharded.outcomes[i].error().detail);
+      EXPECT_EQ(batched.admissions[i].error().detail,
+                sharded.admissions[i].error().detail);
     }
   }
 }
@@ -236,10 +236,10 @@ TEST(AdmissionParallel, ReleaseThenReadmitStaysIdentical) {
   ParallelAdmissionEngine parallel = make_parallel(16, "ADPS", 4);
 
   std::vector<ChannelId> admitted;
-  const auto batch1 = parallel.admit_batch(first);
+  const auto batch1 = parallel.process(first);
   for (std::size_t i = 0; i < first.size(); ++i) {
     const auto expected = controller.request(first[i].spec);
-    ASSERT_EQ(expected.has_value(), batch1.outcomes[i].has_value());
+    ASSERT_EQ(expected.has_value(), batch1.admissions[i].has_value());
     if (expected.has_value()) {
       admitted.push_back(expected->id);
     }
@@ -253,16 +253,16 @@ TEST(AdmissionParallel, ReleaseThenReadmitStaysIdentical) {
   }
   EXPECT_EQ(parallel.stats().released, controller.stats().released);
 
-  const auto batch2 = parallel.admit_batch(second);
+  const auto batch2 = parallel.process(second);
   for (std::size_t i = 0; i < second.size(); ++i) {
     const auto expected = controller.request(second[i].spec);
-    ASSERT_EQ(expected.has_value(), batch2.outcomes[i].has_value())
+    ASSERT_EQ(expected.has_value(), batch2.admissions[i].has_value())
         << "post-release request " << i;
     if (expected.has_value()) {
-      EXPECT_EQ(expected->id, batch2.outcomes[i]->id) << "request " << i;
-      EXPECT_EQ(expected->partition, batch2.outcomes[i]->partition);
+      EXPECT_EQ(expected->id, batch2.admissions[i]->id) << "request " << i;
+      EXPECT_EQ(expected->partition, batch2.admissions[i]->partition);
     } else {
-      EXPECT_EQ(expected.error().detail, batch2.outcomes[i].error().detail);
+      EXPECT_EQ(expected.error().detail, batch2.admissions[i].error().detail);
     }
   }
 }
@@ -398,15 +398,6 @@ void expect_churn_identity(std::span<const ChannelOp> ops,
   EXPECT_EQ(mine, theirs);
 }
 
-std::vector<ChannelOp> admits_of(const std::vector<ChannelRequest>& requests) {
-  std::vector<ChannelOp> ops;
-  ops.reserve(requests.size());
-  for (const auto& request : requests) {
-    ops.push_back(ChannelOp::admit(request.spec));
-  }
-  return ops;
-}
-
 TEST(AdmissionParallel, CellLocalChurnShardsItsReleases) {
   // Releases of channels live at the start of the call are decided inside
   // their component's shard, so a churn stream with a release every few
@@ -419,7 +410,7 @@ TEST(AdmissionParallel, CellLocalChurnShardsItsReleases) {
   AdmissionController controller(nodes, make_partitioner("ADPS"));
   ParallelAdmissionEngine parallel = make_parallel(nodes, "ADPS", 4);
 
-  const auto warmup = admits_of(celled_stream(61, 400, nodes, 4));
+  const auto warmup = celled_stream(61, 400, nodes, 4);
   const ChurnResult first = parallel.process(warmup);
   expect_churn_identity(warmup, first, controller, parallel);
   std::vector<ChannelId> live;
@@ -457,11 +448,11 @@ TEST(AdmissionParallel, ReleaseOfAnInBatchAdmitMatches) {
   const std::uint32_t nodes = 16;
   AdmissionController controller(nodes, make_partitioner("ADPS"));
   ParallelAdmissionEngine parallel = make_parallel(nodes, "ADPS", 4);
-  std::vector<ChannelOp> ops = admits_of(celled_stream(71, 120, nodes, 4));
+  std::vector<ChannelOp> ops = celled_stream(71, 120, nodes, 4);
   // IDs 1 and 2 go to the first two accepted admits of the call.
   ops.push_back(ChannelOp::release(ChannelId{2}));
   ops.push_back(ChannelOp::release(ChannelId{1}));
-  for (const auto& op : admits_of(celled_stream(72, 120, nodes, 4))) {
+  for (const auto& op : celled_stream(72, 120, nodes, 4)) {
     ops.push_back(op);
   }
   const ChurnResult churn = parallel.process(ops);
@@ -492,11 +483,11 @@ TEST(AdmissionParallel, RecycledIdReleasedTwiceInOneBatchMatches) {
   std::vector<ChannelOp> ops;
   ops.push_back(ChannelOp::release(ChannelId{3}));
   ops.push_back(ChannelOp::admit(spec(9, 10, 100, 1, 50)));  // recycles 3
-  for (const auto& op : admits_of(celled_stream(81, 100, nodes, 4))) {
+  for (const auto& op : celled_stream(81, 100, nodes, 4)) {
     ops.push_back(op);
   }
   ops.push_back(ChannelOp::release(ChannelId{3}));
-  for (const auto& op : admits_of(celled_stream(82, 100, nodes, 4))) {
+  for (const auto& op : celled_stream(82, 100, nodes, 4)) {
     ops.push_back(op);
   }
   const ChurnResult churn = parallel.process(ops);
@@ -554,33 +545,39 @@ TEST(AdmissionParallel, SmallBatchTakesSequentialPath) {
   ParallelAdmissionEngine parallel = make_parallel(8, "ADPS", 4,
                                                    /*min_parallel_batch=*/64);
   const auto requests = celled_stream(51, 20, 8, 4);
-  const auto batch = parallel.admit_batch(requests);
-  EXPECT_EQ(batch.outcomes.size(), requests.size());
+  const auto batch = parallel.process(requests);
+  EXPECT_EQ(batch.admissions.size(), requests.size());
   EXPECT_EQ(parallel.last_shard_count(), 1u);
 }
 
 TEST(AdmissionParallel, NonCheckpointScanFallsBackAndMatches) {
-  ParallelAdmissionConfig config;
-  config.threads = 4;
-  config.min_parallel_batch = 1;
-  config.admission.scan = edf::DemandScan::kEverySlot;
-  AdmissionConfig seq_config;
-  seq_config.scan = edf::DemandScan::kEverySlot;
-  AdmissionController controller(8, make_partitioner("SDPS"), seq_config);
-  ParallelAdmissionEngine parallel(8, make_partitioner("SDPS"), config);
+  // Cross-scan oracle: the sharded engine always runs the cached checkpoint
+  // scan, and must match a reference controller scanning every slot outcome
+  // for outcome — verdict, ID, partition, reason and diagnostic.
+  AdmissionConfig every_slot;
+  every_slot.scan = edf::DemandScan::kEverySlot;
+  AdmissionController controller(8, make_partitioner("SDPS"), every_slot);
+  ParallelAdmissionEngine parallel = make_parallel(8, "SDPS", 4);
   const auto requests = celled_stream(52, 80, 8, 4);
-  const auto batch = parallel.admit_batch(requests);
+  const auto batch = parallel.process(requests);
+  ASSERT_EQ(batch.admissions.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto expected = controller.request(requests[i].spec);
-    ASSERT_EQ(expected.has_value(), batch.outcomes[i].has_value());
+    const auto& actual = batch.admissions[i];
+    ASSERT_EQ(expected.has_value(), actual.has_value()) << "request " << i;
+    if (expected.has_value()) {
+      EXPECT_EQ(*expected, *actual) << "request " << i;
+    } else {
+      EXPECT_EQ(expected.error(), actual.error()) << "request " << i;
+    }
   }
-  EXPECT_EQ(parallel.last_shard_count(), 1u);
+  EXPECT_GT(parallel.last_shard_count(), 1u);
 }
 
 TEST(AdmissionParallel, EmptyBatch) {
   ParallelAdmissionEngine parallel = make_parallel(4, "SDPS", 2);
-  const auto result = parallel.admit_batch({});
-  EXPECT_TRUE(result.outcomes.empty());
+  const auto result = parallel.process({});
+  EXPECT_TRUE(result.admissions.empty());
   EXPECT_EQ(parallel.last_shard_count(), 0u);
 }
 
@@ -601,24 +598,24 @@ TEST(AdmissionParallel, SingleAdmitSharesState) {
 TEST(AdmissionParallel, InvalidAndUnknownRequestsRejectIdentically) {
   ParallelAdmissionEngine parallel = make_parallel(4, "SDPS", 2);
   AdmissionController controller(4, make_partitioner("SDPS"));
-  std::vector<ChannelRequest> requests;
+  std::vector<ChannelOp> requests;
   // A parallel-eligible core plus deliberately bad specs mixed in.
   for (std::uint32_t i = 0; i < 40; ++i) {
-    requests.push_back(ChannelRequest{spec(i % 2, (i % 2) ^ 1, 100, 2, 30)});
-    requests.push_back(ChannelRequest{spec(2 + i % 2, 3 - i % 2, 80, 2, 25)});
+    requests.push_back(ChannelOp::admit(spec(i % 2, (i % 2) ^ 1, 100, 2, 30)));
+    requests.push_back(ChannelOp::admit(spec(2 + i % 2, 3 - i % 2, 80, 2, 25)));
   }
-  requests.push_back(ChannelRequest{spec(0, 1, 100, 3, 5)});    // d < 2C
-  requests.push_back(ChannelRequest{spec(0, 9, 100, 3, 40)});   // bad node
-  requests.push_back(ChannelRequest{spec(7, 1, 100, 3, 40)});   // bad node
-  requests.push_back(ChannelRequest{spec(0, 1, 0, 0, 0)});      // degenerate
-  const auto batch = parallel.admit_batch(requests);
+  requests.push_back(ChannelOp::admit(spec(0, 1, 100, 3, 5)));   // d < 2C
+  requests.push_back(ChannelOp::admit(spec(0, 9, 100, 3, 40)));  // bad node
+  requests.push_back(ChannelOp::admit(spec(7, 1, 100, 3, 40)));  // bad node
+  requests.push_back(ChannelOp::admit(spec(0, 1, 0, 0, 0)));     // degenerate
+  const auto batch = parallel.process(requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto expected = controller.request(requests[i].spec);
-    ASSERT_EQ(expected.has_value(), batch.outcomes[i].has_value())
+    ASSERT_EQ(expected.has_value(), batch.admissions[i].has_value())
         << "request " << i;
     if (!expected.has_value()) {
-      EXPECT_EQ(expected.error().reason, batch.outcomes[i].error().reason);
-      EXPECT_EQ(expected.error().detail, batch.outcomes[i].error().detail);
+      EXPECT_EQ(expected.error().reason, batch.admissions[i].error().reason);
+      EXPECT_EQ(expected.error().detail, batch.admissions[i].error().detail);
     }
   }
 }
@@ -642,12 +639,12 @@ TEST(AdmissionParallel, ExhaustionAfterChurnLeaksNoIds) {
   std::vector<ChannelId> live;
   std::uint32_t salt = 0;
   for (int round = 0; round < 6; ++round) {
-    std::vector<ChannelRequest> batch;
+    std::vector<ChannelOp> batch;
     for (std::uint32_t i = 0; i < 200; ++i) {
-      batch.push_back(ChannelRequest{cheap_spec(salt++)});
+      batch.push_back(ChannelOp::admit(cheap_spec(salt++)));
     }
-    const auto result = parallel.admit_batch(batch);
-    for (const auto& outcome : result.outcomes) {
+    const auto result = parallel.process(batch);
+    for (const auto& outcome : result.admissions) {
       ASSERT_TRUE(outcome.has_value());
       live.push_back(outcome->id);
     }
@@ -664,12 +661,12 @@ TEST(AdmissionParallel, ExhaustionAfterChurnLeaksNoIds) {
   while (live.size() < ChannelIdAllocator::kCapacity) {
     const std::size_t want = std::min<std::size_t>(
         4096, ChannelIdAllocator::kCapacity - live.size());
-    std::vector<ChannelRequest> batch;
+    std::vector<ChannelOp> batch;
     for (std::size_t i = 0; i < want; ++i) {
-      batch.push_back(ChannelRequest{cheap_spec(salt++)});
+      batch.push_back(ChannelOp::admit(cheap_spec(salt++)));
     }
-    const auto result = parallel.admit_batch(batch);
-    for (const auto& outcome : result.outcomes) {
+    const auto result = parallel.process(batch);
+    for (const auto& outcome : result.admissions) {
       ASSERT_TRUE(outcome.has_value()) << "ID leaked: allocator exhausted at "
                                        << live.size() << " live channels";
       live.push_back(outcome->id);

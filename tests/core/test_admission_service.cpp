@@ -159,37 +159,11 @@ AdmissionServiceConfig config_with_workers(unsigned workers) {
   return config;
 }
 
-TEST(SelectPath, PinsWhichShapeRunsWhere) {
-  // The one policy point shared by ParallelAdmissionEngine and the service.
-  EXPECT_EQ(select_path(edf::DemandScan::kCheckpoints, 2, 64, 64),
-            AdmissionPath::kSharded);
-  EXPECT_EQ(select_path(edf::DemandScan::kCheckpoints, 8, 1000, 64),
-            AdmissionPath::kSharded);
-  // One thread cannot shard.
-  EXPECT_EQ(select_path(edf::DemandScan::kCheckpoints, 1, 1000, 64),
-            AdmissionPath::kSequential);
-  // The shard path requires the cached checkpoint scan.
-  EXPECT_EQ(select_path(edf::DemandScan::kEverySlot, 8, 1000, 64),
-            AdmissionPath::kSequential);
-  EXPECT_EQ(select_path(edf::DemandScan::kExhaustive, 8, 1000, 64),
-            AdmissionPath::kSequential);
-  // Too little work to amortize shard setup.
-  EXPECT_EQ(select_path(edf::DemandScan::kCheckpoints, 8, 63, 64),
-            AdmissionPath::kSequential);
-}
-
 TEST(AdmissionService, ZeroWorkersSelectsInlineMode) {
   AdmissionService service(8, make_partitioner("SDPS"),
                            config_with_workers(0));
   EXPECT_EQ(service.mode(), AdmissionService::Mode::kInline);
   EXPECT_EQ(service.worker_count(), 0u);
-}
-
-TEST(AdmissionService, NonCheckpointScanFallsBackToInline) {
-  AdmissionServiceConfig config = config_with_workers(4);
-  config.admission.scan = edf::DemandScan::kEverySlot;
-  AdmissionService service(8, make_partitioner("SDPS"), config);
-  EXPECT_EQ(service.mode(), AdmissionService::Mode::kInline);
 }
 
 TEST(AdmissionService, ResidentModeSpawnsWorkers) {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/random.hpp"
 
 namespace rtether::core {
 namespace {
@@ -211,6 +216,129 @@ TEST(PathAdmission, RejectionLeavesNoResidueOnAnyHop) {
   EXPECT_EQ(
       controller.state().link_load(LinkId::trunk(SwitchId{0}, SwitchId{1})),
       trunk_load);
+}
+
+/// A binary tree of `switches` switches (switch s hangs off (s - 1) / 2)
+/// with `nodes_per_switch` nodes each, assigned switch-major.
+Topology tree_fabric(std::uint32_t switches, std::uint32_t nodes_per_switch) {
+  Topology topology(switches * nodes_per_switch, switches);
+  for (std::uint32_t sw = 1; sw < switches; ++sw) {
+    topology.connect_switches(SwitchId{(sw - 1) / 2}, SwitchId{sw});
+  }
+  for (std::uint32_t node = 0; node < topology.node_count(); ++node) {
+    topology.attach_node(NodeId{node}, SwitchId{node / nodes_per_switch});
+  }
+  return topology;
+}
+
+struct OracleTally {
+  std::size_t accepts{0};
+  std::size_t rejects{0};
+};
+
+/// Seeded admit/release churn on a multi-switch fabric. Every `request` of
+/// the cached controller must equal a from-scratch per-hop check built
+/// here: the same route and partitioner split over a mirrored state, then
+/// `check_feasibility(link ∪ task, kEverySlot)` hop by hop. The first
+/// failing hop names the reason and the detail; an accept takes the
+/// smallest free ID. Counts accepts and demand-test rejects into `tally`.
+void expect_khop_oracle(const Topology& topology, const std::string& scheme,
+                        std::uint64_t seed, std::size_t ops,
+                        OracleTally& tally) {
+  static constexpr Slot kPeriods[] = {40, 60, 80, 100, 150, 200};
+  PathAdmissionController controller(topology, make_path_partitioner(scheme));
+  const auto partitioner = make_path_partitioner(scheme);
+  PathNetworkState mirror(topology);
+  ChannelIdAllocator ids;
+  std::vector<ChannelId> live;
+  Rng rng(seed);
+  const auto nodes = topology.node_count();
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::string where = scheme + " op " + std::to_string(op);
+    if (!live.empty() && rng.bernoulli(0.3)) {
+      const std::size_t victim = rng.index(live.size());
+      const ChannelId id = live[victim];
+      live[victim] = live.back();
+      live.pop_back();
+      const auto released = controller.release(id);
+      EXPECT_TRUE(released.has_value()) << where;
+      EXPECT_TRUE(mirror.remove_channel(id)) << where;
+      EXPECT_TRUE(ids.release(id)) << where;
+      continue;
+    }
+    const auto src = static_cast<std::uint32_t>(rng.index(nodes));
+    auto dst = static_cast<std::uint32_t>(rng.index(nodes));
+    if (dst == src) {
+      dst = (dst + 1) % nodes;
+    }
+    const auto path = topology.route(NodeId{src}, NodeId{dst});
+    ASSERT_TRUE(path.has_value()) << where;
+    const Slot period = kPeriods[rng.index(std::size(kPeriods))];
+    const Slot capacity = 1 + rng.index(4);
+    const Slot floor = capacity * path->size();
+    const ChannelSpec request =
+        spec(src, dst, period, capacity, floor + rng.index(period - floor + 1));
+
+    const auto actual = controller.request(request);
+
+    // The from-scratch oracle.
+    const auto deadlines = partitioner->split(request, *path, mirror);
+    const auto id = ids.allocate();
+    ASSERT_TRUE(id.has_value()) << where;
+    std::optional<Rejection> expected_rejection;
+    for (std::size_t hop = 0; hop < path->size(); ++hop) {
+      edf::TaskSet link = mirror.link((*path)[hop]);
+      link.add({*id, period, capacity, deadlines[hop]});
+      const auto report =
+          edf::check_feasibility(link, edf::DemandScan::kEverySlot);
+      if (!report.feasible) {
+        expected_rejection = Rejection{
+            (*path)[hop].kind == LinkId::Kind::kUplink
+                ? RejectReason::kUplinkInfeasible
+                : RejectReason::kDownlinkInfeasible,
+            (*path)[hop].to_string() + ": " + report.summary()};
+        break;
+      }
+    }
+
+    if (expected_rejection) {
+      ids.release(*id);
+      ++tally.rejects;
+      ASSERT_FALSE(actual.has_value()) << where << " " << request.to_string();
+      EXPECT_EQ(actual.error(), *expected_rejection) << where;
+      continue;
+    }
+    ASSERT_TRUE(actual.has_value())
+        << where << " " << request.to_string() << ": "
+        << actual.error().detail;
+    const MultihopChannel expected{*id, request, *path, deadlines};
+    EXPECT_EQ(actual->id, expected.id) << where;
+    EXPECT_EQ(actual->spec, expected.spec) << where;
+    EXPECT_EQ(actual->path, expected.path) << where;
+    EXPECT_EQ(actual->deadlines, expected.deadlines) << where;
+    mirror.add_channel(expected);
+    live.push_back(*id);
+    ++tally.accepts;
+  }
+  EXPECT_EQ(controller.state().channel_count(), mirror.channel_count());
+}
+
+TEST(PathAdmission, CachedTrialsMatchFromScratchOracleOnSwitchLine) {
+  for (const char* scheme : {"SDPS", "ADPS"}) {
+    OracleTally tally;
+    expect_khop_oracle(Topology::switch_line(3, 3), scheme, 91, 300, tally);
+    EXPECT_GT(tally.accepts, 0u) << scheme;
+    EXPECT_GT(tally.rejects, 0u) << scheme;
+  }
+}
+
+TEST(PathAdmission, CachedTrialsMatchFromScratchOracleOnTree) {
+  for (const char* scheme : {"SDPS", "ADPS"}) {
+    OracleTally tally;
+    expect_khop_oracle(tree_fabric(7, 2), scheme, 92, 300, tally);
+    EXPECT_GT(tally.accepts, 0u) << scheme;
+    EXPECT_GT(tally.rejects, 0u) << scheme;
+  }
 }
 
 TEST(MultihopChannelStruct, PartitionValidity) {

@@ -261,15 +261,15 @@ TEST(LinkScanCache, ReserveHorizonDoesNotChangeVerdicts) {
 TEST(LinkScanCache, CachedHyperperiodIsRunningLcm) {
   TaskSet set;
   LinkScanCache cache;
-  ASSERT_TRUE(cache.cached_hyperperiod().has_value());
-  EXPECT_EQ(*cache.cached_hyperperiod(), 1u);
+  ASSERT_TRUE(cache.hyperperiod().has_value());
+  EXPECT_EQ(*cache.hyperperiod(), 1u);
   const PseudoTask a{ChannelId(1), 40, 2, 20};
   const PseudoTask b{ChannelId(2), 60, 2, 30};
   set.add(a);
   cache.commit(a);
   set.add(b);
   cache.commit(b);
-  EXPECT_EQ(*cache.cached_hyperperiod(), 120u);
+  EXPECT_EQ(*cache.hyperperiod(), 120u);
 }
 
 /// Compares every observable of a trial report between two caches.
@@ -347,11 +347,11 @@ TEST(LinkScanCache, DowndateMatchesResetAndReferenceUnderChurn) {
       expect_identical_reports(churned, fresh, where + " (vs cold reset)");
       expect_identical_reports(churned, reference, where + " (vs reference)");
       EXPECT_EQ(cache.task_count(), set.size()) << where;
-      EXPECT_EQ(cache.cached_hyperperiod().has_value(),
-                cold.cached_hyperperiod().has_value())
+      EXPECT_EQ(cache.hyperperiod().has_value(),
+                cold.hyperperiod().has_value())
           << where;
-      if (cache.cached_hyperperiod().has_value()) {
-        EXPECT_EQ(*cache.cached_hyperperiod(), *cold.cached_hyperperiod())
+      if (cache.hyperperiod().has_value()) {
+        EXPECT_EQ(*cache.hyperperiod(), *cold.hyperperiod())
             << where;
       }
     }
@@ -503,8 +503,8 @@ TEST(LinkScanCache, DowndateToEmptyRestoresPristineState) {
   ASSERT_TRUE(set.remove(a.channel));
   cache.downdate(set, a);
   EXPECT_EQ(cache.task_count(), 0u);
-  ASSERT_TRUE(cache.cached_hyperperiod().has_value());
-  EXPECT_EQ(*cache.cached_hyperperiod(), 1u);
+  ASSERT_TRUE(cache.hyperperiod().has_value());
+  EXPECT_EQ(*cache.hyperperiod(), 1u);
   const PseudoTask probe{ChannelId(3), 80, 4, 20};
   const auto report = cache.check_with(set, probe);
   TaskSet grown;
@@ -592,17 +592,17 @@ TEST(LinkScanCache, DowndateWithOverflowedHyperperiodRecovers) {
                         ? std::nullopt
                         : std::optional<Slot>(report.scanned_bound));
   }
-  EXPECT_FALSE(cache.cached_hyperperiod().has_value());  // overflowed
+  EXPECT_FALSE(cache.hyperperiod().has_value());  // overflowed
   ASSERT_TRUE(set.remove(c.channel));
   cache.downdate(set, c);
   LinkScanCache cold;
   cold.reset(set);
-  EXPECT_EQ(cache.cached_hyperperiod().has_value(),
-            cold.cached_hyperperiod().has_value());
+  EXPECT_EQ(cache.hyperperiod().has_value(),
+            cold.hyperperiod().has_value());
   ASSERT_TRUE(set.remove(b.channel));
   cache.downdate(set, b);
-  ASSERT_TRUE(cache.cached_hyperperiod().has_value());
-  EXPECT_EQ(*cache.cached_hyperperiod(), 2'147'483'647u);
+  ASSERT_TRUE(cache.hyperperiod().has_value());
+  EXPECT_EQ(*cache.hyperperiod(), 2'147'483'647u);
 }
 
 }  // namespace
