@@ -2,14 +2,14 @@
 /// sharded `AdmissionService` vs the single-threaded batched engine on
 /// identical mixed admit/release streams.
 ///
-/// Where S2 (bench_admission_parallel) measures one big fork/join batch,
-/// this bench measures the *service* shape the paper's switch actually
-/// runs: channels are requested and torn down continuously, and the
-/// dispatcher must sustain throughput from whatever bursts the ingest ring
-/// delivers, each decided through S2's sharded engine. The workload is the same industrial one — machine cells
-/// whose traffic stays inside the cell — so the link-conflict graph shards
-/// one component per cell; releases target channels admitted well in the
-/// past, the steady-state churn of a running plant.
+/// This is the *service* shape the paper's switch actually runs: channels
+/// are requested and torn down continuously, and the dispatcher must
+/// sustain throughput from whatever bursts the ingest ring delivers, each
+/// decided through the sharded `ParallelAdmissionEngine`. The workload is
+/// an industrial one — machine cells whose traffic stays inside the cell —
+/// so the link-conflict graph shards one component per cell; releases
+/// target channels admitted well in the past, the steady-state churn of a
+/// running plant.
 ///
 /// Gates, both enforced only on full-size runs:
 ///   * resident ≥ 3× the batched engine at 8 workers (enforced when the
@@ -244,8 +244,8 @@ int main(int argc, char** argv) {
     std::uint32_t cell_size;
     bool gated;
   };
-  // Same saturated multi-cell regimes as S2: enough independent components
-  // to feed 8 shard workers.
+  // Saturated multi-cell regimes: enough independent components to feed 8
+  // shard workers.
   const Scenario scenarios[] = {
       Scenario{64, 4, true},
       Scenario{256, 8, true},
@@ -363,10 +363,10 @@ int main(int argc, char** argv) {
               inline_gate_enforced ? "enforced"
                                    : "reported only on reduced runs");
   std::puts("reading: the resident dispatcher runs each ingest burst through");
-  std::puts("S2's sharded engine (releases of live channels decided in their");
+  std::puts("the sharded engine (releases of live channels decided in their");
   std::puts("component's shard) and completes tickets in dequeue order, so");
-  std::puts("continuous churn scales like S2's batches while keeping outcomes");
-  std::puts("bit-identical to the sequential controller.\n");
+  std::puts("continuous churn scales like one-shot batches while keeping");
+  std::puts("outcomes bit-identical to the sequential controller.\n");
 
   if (!json.write_file(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());

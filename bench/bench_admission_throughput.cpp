@@ -64,7 +64,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 struct RunResult {
-  double seconds{0.0};
+  double seconds{1e300};
   std::size_t accepted{0};
   std::vector<bool> decisions;
 };
@@ -73,31 +73,25 @@ struct RunResult {
 /// benchmarking standard for shaking off scheduler noise.
 constexpr int kRepetitions = 3;
 
-/// Replays the stream through any `AdmissionBackend` kind; best-of-N wall
-/// time of the backend's own `submit` path.
-RunResult run_backend(const std::string& kind,
-                      const std::vector<ChannelOp>& ops,
-                      std::uint32_t nodes, const std::string& scheme) {
-  RunResult result;
-  result.seconds = 1e300;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    auto backend =
-        make_admission_backend(kind, nodes, make_partitioner(scheme));
-    if (backend == nullptr) {
-      std::fprintf(stderr, "unknown backend kind: %s\n", kind.c_str());
-      std::exit(64);
-    }
-    const auto start = std::chrono::steady_clock::now();
-    const ChurnResult churn = backend->submit(ops);
-    result.seconds = std::min(result.seconds, seconds_since(start));
-    result.decisions.clear();
-    result.decisions.reserve(churn.admissions.size());
-    for (const auto& outcome : churn.admissions) {
-      result.decisions.push_back(outcome.has_value());
-    }
-    result.accepted = churn.accepted();
+/// Replays the stream once through a fresh backend of `kind`; folds the
+/// wall time of the backend's own `submit` path into `result`'s best.
+void run_backend(const std::string& kind, const std::vector<ChannelOp>& ops,
+                 std::uint32_t nodes, const std::string& scheme,
+                 RunResult& result) {
+  auto backend = make_admission_backend(kind, nodes, make_partitioner(scheme));
+  if (backend == nullptr) {
+    std::fprintf(stderr, "unknown backend kind: %s\n", kind.c_str());
+    std::exit(64);
   }
-  return result;
+  const auto start = std::chrono::steady_clock::now();
+  const ChurnResult churn = backend->submit(ops);
+  result.seconds = std::min(result.seconds, seconds_since(start));
+  result.decisions.clear();
+  result.decisions.reserve(churn.admissions.size());
+  for (const auto& outcome : churn.admissions) {
+    result.decisions.push_back(outcome.has_value());
+  }
+  result.accepted = churn.accepted();
 }
 
 }  // namespace
@@ -134,10 +128,16 @@ int main(int argc, char** argv) {
        {Scenario{16, "SDPS", true}, Scenario{16, "ADPS", true},
         Scenario{64, "ADPS", false}, Scenario{256, "ADPS", false}}) {
     const auto requests = make_stream(7, request_count, scenario.nodes);
-    const auto sequential =
-        run_backend("controller", requests, scenario.nodes, scenario.scheme);
-    const auto batched =
-        run_backend("batched", requests, scenario.nodes, scenario.scheme);
+    // Interleaved reps (controller, batched, controller, ...): a burst of
+    // host load lands on both sides of the ratio, not on one.
+    RunResult sequential;
+    RunResult batched;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      run_backend("controller", requests, scenario.nodes, scenario.scheme,
+                  sequential);
+      run_backend("batched", requests, scenario.nodes, scenario.scheme,
+                  batched);
+    }
 
     const bool identical = sequential.decisions == batched.decisions &&
                            sequential.accepted == batched.accepted;

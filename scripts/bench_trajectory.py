@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Merge BENCH_*.json artifacts into one machine-readable perf trajectory.
 
-Every bench binary writes a flat JSON object (BENCH_admission.json,
-BENCH_churn.json, BENCH_scenario_fuzz.json, BENCH_sim.json, ...). Until now
+Every bench binary writes a flat JSON object (BENCH_service.json,
+BENCH_scenario_fuzz.json, BENCH_sim.json, ...). Until now
 those were fire-and-forget artifacts: each CI run uploaded them and nothing
 ever read them together, so the repo had no single place to see how the
 perf story composes. This script collects them, prints a compact summary in
@@ -28,21 +28,11 @@ import sys
 # top-level members of each bench's JSON (see the json.member calls in the
 # bench mains).
 HEADLINES = {
-    "admission_throughput": [
-        ("min_gated_parallel_speedup", "par/batch (worst gated)", "x"),
-        ("all_decisions_identical", "decisions identical", ""),
-        ("gate_enforced", "gate enforced", ""),
-    ],
     "admission_service": [
         ("min_gated_service_speedup", "service/batch (worst gated)", "x"),
         ("min_inline_ratio", "inline/batch (worst)", "x"),
         ("all_outcomes_identical", "outcomes identical", ""),
         ("gate_enforced", "gate enforced", ""),
-    ],
-    "admission_churn": [
-        ("downdate_ops_per_sec", "downdate", " ops/s"),
-        ("rebuild_ops_per_sec", "rebuild", " ops/s"),
-        ("speedup_downdate_vs_rebuild", "downdate/rebuild", "x"),
     ],
     "scenario_fuzz": [
         ("scenarios_per_sec", "scenarios", "/s"),
@@ -65,8 +55,6 @@ HEADLINES = {
     ],
     "sim_kernel": [
         ("typed_kernel_slots_per_sec", "typed kernel", " slots/s"),
-        ("seed_kernel_slots_per_sec", "seed kernel", " slots/s"),
-        ("speedup", "typed/seed", "x"),
         ("steady_state_allocations", "steady-state allocs", ""),
     ],
     "sim_parallel": [

@@ -9,11 +9,9 @@ namespace rtether::analysis {
 
 std::size_t count_accepted(const std::string& scheme,
                            std::uint32_t node_count,
-                           const std::vector<core::ChannelSpec>& specs,
-                           const core::AdmissionConfig& admission) {
+                           const std::vector<core::ChannelSpec>& specs) {
   core::AdmissionController controller(node_count,
-                                       core::make_partitioner(scheme),
-                                       admission);
+                                       core::make_partitioner(scheme));
   std::size_t accepted = 0;
   for (const auto& spec : specs) {
     if (controller.request(spec)) {
@@ -42,7 +40,7 @@ AcceptanceCurve run_acceptance_sweep(const std::string& scheme,
       const std::uint64_t seed = config.base_seed + s;
       const auto specs = stream(seed, requested);
       const auto accepted = static_cast<double>(
-          count_accepted(scheme, node_count, specs, config.admission));
+          count_accepted(scheme, node_count, specs));
       sum += accepted;
       lo = s == 0 ? accepted : std::min(lo, accepted);
       hi = s == 0 ? accepted : std::max(hi, accepted);

@@ -39,7 +39,6 @@ struct AcceptanceSweepConfig {
   /// Independent repetitions; curves report mean/min/max over these.
   std::uint32_t seeds{5};
   std::uint64_t base_seed{42};
-  core::AdmissionConfig admission{};
 };
 
 /// Generic request-stream factory: returns the first `count` requests for
@@ -63,7 +62,6 @@ using RequestStream =
 /// controller running `scheme`.
 [[nodiscard]] std::size_t count_accepted(
     const std::string& scheme, std::uint32_t node_count,
-    const std::vector<core::ChannelSpec>& specs,
-    const core::AdmissionConfig& admission = {});
+    const std::vector<core::ChannelSpec>& specs);
 
 }  // namespace rtether::analysis

@@ -152,16 +152,6 @@ std::optional<RtChannel> release_channel(NetworkState& state,
   return channel;
 }
 
-void downdate_link_cache(edf::LinkScanCache& cache, const edf::TaskSet& set,
-                         const edf::PseudoTask& removed,
-                         ReleasePolicy policy) {
-  if (policy == ReleasePolicy::kDowndate) {
-    cache.downdate(set, removed);
-  } else {
-    cache.reset(set);
-  }
-}
-
 std::string unknown_channel_detail(ChannelId id) {
   std::string detail = "channel ";
   detail += std::to_string(id.value());
@@ -296,11 +286,9 @@ std::size_t ChurnResult::rejected() const {
 }
 
 AdmissionEngine::AdmissionEngine(
-    std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner,
-    AdmissionConfig config)
+    std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner)
     : state_(node_count),
       partitioner_(std::move(partitioner)),
-      config_(config),
       uplink_caches_(node_count),
       downlink_caches_(node_count) {
   RTETHER_ASSERT_MSG(partitioner_ != nullptr,
@@ -480,16 +468,14 @@ ReleaseOutcome AdmissionEngine::release(ChannelId id) {
     return admission_internal::make_release_outcome(false, id);
   }
   const ChannelSpec& spec = channel->spec;
-  admission_internal::downdate_link_cache(
-      cache(spec.source, LinkDirection::kUplink),
-      state_.link(spec.source, LinkDirection::kUplink),
-      {channel->id, spec.period, spec.capacity, channel->partition.uplink},
-      config_.release);
-  admission_internal::downdate_link_cache(
-      cache(spec.destination, LinkDirection::kDownlink),
-      state_.link(spec.destination, LinkDirection::kDownlink),
-      {channel->id, spec.period, spec.capacity, channel->partition.downlink},
-      config_.release);
+  cache(spec.source, LinkDirection::kUplink)
+      .downdate(state_.link(spec.source, LinkDirection::kUplink),
+                {channel->id, spec.period, spec.capacity,
+                 channel->partition.uplink});
+  cache(spec.destination, LinkDirection::kDownlink)
+      .downdate(state_.link(spec.destination, LinkDirection::kDownlink),
+                {channel->id, spec.period, spec.capacity,
+                 channel->partition.downlink});
   return id;
 }
 

@@ -59,28 +59,13 @@ using AdmitOutcome = Expected<RtChannel, Rejection>;
 /// boolean-context call sites (`if (x.release(id))`) compiling unchanged.
 using ReleaseOutcome = Expected<ChannelId, Rejection>;
 
-/// How the cached admission paths maintain their per-link scan caches when
-/// a channel is released.
-enum class ReleasePolicy : std::uint8_t {
-  /// Subtract the released task's memoized contribution in O(points):
-  /// release is a first-class fast path and an identical re-admit stays a
-  /// pure merge-walk (the default).
-  kDowndate,
-  /// Release-as-invalidate baseline: cold `LinkScanCache::reset` per
-  /// affected link direction, O(tasks × points). Kept for the churn bench's
-  /// speedup gate and for A/B decision-identity tests.
-  kRebuild,
-};
-
-/// Tuning knobs for the admission controller.
+/// Tuning knobs for the reference `AdmissionController`.
 struct AdmissionConfig {
-  /// Demand-scan strategy for constraint 2 of the reference
-  /// `AdmissionController` (paper default: checkpoints). Every scan reaches
-  /// the same verdict, first violation and demand; the cached paths always
-  /// run the checkpoint scan through their `LinkScanCache`s.
+  /// Demand-scan strategy for constraint 2 (paper default: checkpoints).
+  /// Every scan reaches the same verdict, first violation and demand; the
+  /// cached paths always run the checkpoint scan through their
+  /// `LinkScanCache`s.
   edf::DemandScan scan{edf::DemandScan::kCheckpoints};
-  /// Cache maintenance on channel release (cached paths only).
-  ReleasePolicy release{ReleasePolicy::kDowndate};
 };
 
 /// Running acceptance statistics.
@@ -206,14 +191,13 @@ struct ChurnResult {
 /// harmless accumulation-order differences versus a controller that has
 /// churned through tentative add/remove cycles.
 ///
-/// The trials always run the paper's checkpoint scan (`config.scan` is the
-/// reference controller's); every scan strategy reaches the same decision
-/// and diagnostic, so the engine matches a controller configured with any.
+/// The trials always run the paper's checkpoint scan; every scan strategy
+/// reaches the same decision and diagnostic, so the engine matches a
+/// controller configured with any `AdmissionConfig::scan`.
 class AdmissionEngine {
  public:
   AdmissionEngine(std::uint32_t node_count,
-                  std::unique_ptr<DeadlinePartitioner> partitioner,
-                  AdmissionConfig config = {});
+                  std::unique_ptr<DeadlinePartitioner> partitioner);
 
   /// Admits one request, reusing the incremental per-link state built up by
   /// previous admits and batches.
@@ -228,8 +212,7 @@ class AdmissionEngine {
 
   /// Releases an established channel (teardown); typed `kUnknownChannel`
   /// rejection if the ID is not live. O(affected links): the two link
-  /// caches are downdated in place (or cold-rebuilt under
-  /// `ReleasePolicy::kRebuild`).
+  /// caches are downdated in place.
   [[nodiscard]] ReleaseOutcome release(ChannelId id);
 
   [[nodiscard]] const NetworkState& state() const { return state_; }
@@ -267,7 +250,6 @@ class AdmissionEngine {
 
   NetworkState state_;
   std::unique_ptr<DeadlinePartitioner> partitioner_;
-  AdmissionConfig config_;
   ChannelIdAllocator ids_;
   AdmissionStats stats_;
   std::vector<edf::LinkScanCache> uplink_caches_;

@@ -62,9 +62,8 @@ class ControllerBackend final : public AdmissionBackend {
 class BatchedBackend final : public AdmissionBackend {
  public:
   BatchedBackend(std::uint32_t node_count,
-                 std::unique_ptr<DeadlinePartitioner> partitioner,
-                 const BackendConfig& config)
-      : engine_(node_count, std::move(partitioner), config.admission) {}
+                 std::unique_ptr<DeadlinePartitioner> partitioner)
+      : engine_(node_count, std::move(partitioner)) {}
 
   [[nodiscard]] std::string name() const override { return "batched"; }
 
@@ -97,7 +96,7 @@ class ParallelBackend final : public AdmissionBackend {
                   std::unique_ptr<DeadlinePartitioner> partitioner,
                   const BackendConfig& config)
       : engine_(node_count, std::move(partitioner),
-                ParallelAdmissionConfig{config.admission, config.threads,
+                ParallelAdmissionConfig{config.threads,
                                         config.min_parallel_batch}) {}
 
   [[nodiscard]] std::string name() const override { return "parallel"; }
@@ -130,7 +129,7 @@ class ServiceBackend final : public AdmissionBackend {
                  std::unique_ptr<DeadlinePartitioner> partitioner,
                  const BackendConfig& config)
       : service_(node_count, std::move(partitioner),
-                 AdmissionServiceConfig{config.admission, config.threads}) {}
+                 AdmissionServiceConfig{config.threads}) {}
 
   [[nodiscard]] std::string name() const override { return "service"; }
 
@@ -237,8 +236,7 @@ std::unique_ptr<AdmissionBackend> make_admission_backend(
                                                std::move(partitioner), config);
   }
   if (kind == "batched") {
-    return std::make_unique<BatchedBackend>(node_count, std::move(partitioner),
-                                            config);
+    return std::make_unique<BatchedBackend>(node_count, std::move(partitioner));
   }
   if (kind == "parallel") {
     return std::make_unique<ParallelBackend>(node_count, std::move(partitioner),

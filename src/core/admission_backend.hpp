@@ -34,6 +34,8 @@ class GateScheduleAdmission;
 /// Tuning knobs shared by every backend; each kind reads the subset that
 /// applies to it.
 struct BackendConfig {
+  /// The reference controller's scan. Read by the "controller" kind only:
+  /// the cached kinds always scan checkpoints and decide identically.
   AdmissionConfig admission{};
   /// Worker threads for the parallel engine, and for the engine behind the
   /// resident service. Ignored by the sequential kinds.

@@ -58,21 +58,12 @@ void reserve_link_horizon(const edf::TaskSet& set, edf::LinkScanCache& cache,
 /// channel from `state`, frees its ID and counts the release. Returns the
 /// removed channel, or nullopt when `id` is unknown (nothing mutated).
 /// Cache maintenance is the caller's job (the reference controller has no
-/// caches; the engines pair this with `downdate_link_cache` per affected
-/// link direction).
+/// caches; the engines `LinkScanCache::downdate` each affected link
+/// direction).
 [[nodiscard]] std::optional<RtChannel> release_channel(NetworkState& state,
                                                        ChannelIdAllocator& ids,
                                                        AdmissionStats& stats,
                                                        ChannelId id);
-
-/// Cache maintenance for one link direction after `removed` left `set`
-/// (`set` is the post-removal task set): kDowndate subtracts the task's
-/// memoized contribution in O(points); kRebuild is the release-as-invalidate
-/// baseline (cold reset). Shared by the batched/parallel engines and the
-/// multihop controller so every release path shrinks its caches the same
-/// way.
-void downdate_link_cache(edf::LinkScanCache& cache, const edf::TaskSet& set,
-                         const edf::PseudoTask& removed, ReleasePolicy policy);
 
 /// "channel <id> is not live" — the shared teardown-of-unknown-ID
 /// diagnostic; every release path must reject with exactly this string.

@@ -171,15 +171,14 @@ struct AdmissionService::Impl {
        AdmissionServiceConfig cfg)
       : config(cfg), mode(cfg.workers >= 1 ? Mode::kResident : Mode::kInline) {
     if (mode == Mode::kInline) {
-      partitioner = &inline_engine.emplace(nodes, std::move(part),
-                                           cfg.admission)
-                         .partitioner();
+      partitioner =
+          &inline_engine.emplace(nodes, std::move(part)).partitioner();
       return;
     }
     partitioner =
         &engine
              .emplace(nodes, std::move(part),
-                      ParallelAdmissionConfig{cfg.admission, cfg.workers})
+                      ParallelAdmissionConfig{cfg.workers})
              .partitioner();
     ingest.emplace(cfg.queue_capacity);
     dispatcher = std::thread([this] { dispatcher_loop(); });

@@ -40,7 +40,6 @@ struct TicketState;
 
 /// Tuning knobs for `AdmissionService`.
 struct AdmissionServiceConfig {
-  AdmissionConfig admission{};
   /// Worker threads of the resident engine's pool; at least one selects
   /// resident mode. 0 selects inline mode: no threads, ops complete
   /// synchronously inside `submit_async` via an internal `AdmissionEngine`.

@@ -164,11 +164,8 @@ std::unique_ptr<PathPartitioner> make_path_partitioner(
 }
 
 PathAdmissionController::PathAdmissionController(
-    Topology topology, std::unique_ptr<PathPartitioner> partitioner,
-    AdmissionConfig config)
-    : state_(std::move(topology)),
-      partitioner_(std::move(partitioner)),
-      config_(config) {
+    Topology topology, std::unique_ptr<PathPartitioner> partitioner)
+    : state_(std::move(topology)), partitioner_(std::move(partitioner)) {
   RTETHER_ASSERT_MSG(partitioner_ != nullptr, "admission requires a DPS");
 }
 
@@ -273,13 +270,12 @@ ReleaseOutcome PathAdmissionController::release(ChannelId id) {
   RTETHER_ASSERT_MSG(was_live, "channel present but ID not live");
   ++stats_.released;
   // k-hop release fast path: every traversed link's cache sheds this
-  // channel's pseudo-task via the shared downdate helper.
+  // channel's pseudo-task.
   for (std::size_t hop = 0; hop < channel->path.size(); ++hop) {
-    admission_internal::downdate_link_cache(
-        caches_[channel->path[hop]], state_.link(channel->path[hop]),
+    caches_[channel->path[hop]].downdate(
+        state_.link(channel->path[hop]),
         {id, channel->spec.period, channel->spec.capacity,
-         channel->deadlines[hop]},
-        config_.release);
+         channel->deadlines[hop]});
   }
   return id;
 }

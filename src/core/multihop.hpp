@@ -117,15 +117,13 @@ class AsymmetricPathPartitioner final : public PathPartitioner {
 /// star engines: a hop's trial is an O(checkpoints) merge-walk
 /// (`check_with`), an accepted channel `commit`s into every hop's cache and
 /// a release `downdate`s them — the k-hop generalization of the star
-/// release fast path, maintained through the shared
-/// `core::admission_internal` helpers. Decisions and diagnostics are
-/// bit-identical to a from-scratch `check_feasibility` of link ∪ task per
-/// hop, under any scan strategy. Of `config`, only `release` is read.
+/// release fast path. Decisions and diagnostics are bit-identical to a
+/// from-scratch `check_feasibility` of link ∪ task per hop, under any scan
+/// strategy.
 class PathAdmissionController {
  public:
   PathAdmissionController(Topology topology,
-                          std::unique_ptr<PathPartitioner> partitioner,
-                          AdmissionConfig config = {});
+                          std::unique_ptr<PathPartitioner> partitioner);
 
   [[nodiscard]] Expected<MultihopChannel, Rejection> request(
       const ChannelSpec& spec);
@@ -141,7 +139,6 @@ class PathAdmissionController {
  private:
   PathNetworkState state_;
   std::unique_ptr<PathPartitioner> partitioner_;
-  AdmissionConfig config_;
   ChannelIdAllocator ids_;
   AdmissionStats stats_;
   /// Per-directed-link scan caches. A link absent here is in the

@@ -69,7 +69,7 @@ struct alignas(64) ParallelAdmissionEngine::Shard {
 ParallelAdmissionEngine::ParallelAdmissionEngine(
     std::uint32_t node_count, std::unique_ptr<DeadlinePartitioner> partitioner,
     ParallelAdmissionConfig config)
-    : engine_(node_count, std::move(partitioner), config.admission),
+    : engine_(node_count, std::move(partitioner)),
       pool_(1 + (config.threads != 0
                      ? config.threads
                      : std::max(1u, std::thread::hardware_concurrency()))),
@@ -268,7 +268,6 @@ void ParallelAdmissionEngine::process_batch(std::span<const ChannelOp> batch,
   // own shard and read-only shared inputs (the batch, subject, slot_of_key,
   // the engine's — frozen — network state, the stateless partitioner).
   const DeadlinePartitioner& partitioner = engine_.partitioner();
-  const ReleasePolicy release_policy = engine_.config_.release;
   auto decide = [&](std::size_t si) {
     Shard& shard = shards[si];
     auto cache_of = [&](std::size_t key) -> edf::LinkScanCache& {
@@ -324,10 +323,8 @@ void ParallelAdmissionEngine::process_batch(std::span<const ChannelOp> batch,
                           edf::LinkScanCache& cache) {
           const bool removed = local.remove_link_task(node, dir, channel.id);
           RTETHER_ASSERT(removed);
-          admission_internal::downdate_link_cache(
-              cache, local.link(node, dir),
-              {channel.id, spec.period, spec.capacity, deadline},
-              release_policy);
+          cache.downdate(local.link(node, dir),
+                         {channel.id, spec.period, spec.capacity, deadline});
         };
         unlink(spec.source, LinkDirection::kUplink, channel.partition.uplink,
                uplink_cache);

@@ -71,8 +71,6 @@ namespace rtether::core {
 
 /// Tuning knobs for the parallel engine.
 struct ParallelAdmissionConfig {
-  /// Knobs shared with the sequential engine (release policy).
-  AdmissionConfig admission{};
   /// Worker threads of the pool (the calling thread joins them while a
   /// batch is decided). 0 = one per hardware thread (at least one).
   unsigned threads{0};

@@ -118,10 +118,11 @@ struct FeasibilityReport {
 /// checkpoint union in ascending order, reporting the same first violation.
 ///
 /// The cache shadows one link direction's TaskSet. Every `TaskSet::add`
-/// must be mirrored by `commit` and every `TaskSet::remove` by `downdate`
-/// (`reset` remains as the cold rebuild for adopting a pre-populated link —
-/// and as the release-as-invalidate baseline the churn bench gates
-/// against). `check_with` asserts the shadow is in sync.
+/// must be mirrored by `commit` and every `TaskSet::remove` by `downdate`.
+/// `reset` is the cold rebuild from a whole task set; no admission path
+/// calls it, and it stays as the reference every `downdate` must match (the
+/// `DowndateMatchesReset*` tests). `check_with` asserts the shadow is in
+/// sync.
 ///
 /// `check_with` is const: a trial test — even a rejected one, even one whose
 /// busy period reaches past the cached horizon — leaves no residue in the
@@ -137,9 +138,9 @@ class LinkScanCache {
   /// Valid for an empty task set.
   LinkScanCache() = default;
 
-  /// Cold rebuild from the link's current task set (adopting a pre-populated
-  /// link, or the release-as-invalidate baseline policy). Clamps the horizon
-  /// to the set's busy period; releases on the hot path use `downdate`.
+  /// Cold rebuild from the link's current task set, O(tasks · points):
+  /// the reference state a `downdate` must reproduce. Clamps the horizon
+  /// to the set's busy period; every release path uses `downdate`.
   void reset(const TaskSet& set);
 
   /// Trial-tests `set ∪ {extra}` without mutating anything — the cache

@@ -127,7 +127,9 @@ TEST(AdmissionBatch, SingleAdmitMatchesController) {
   }
 }
 
-TEST(AdmissionBatch, ReleaseRebuildsCachesAndStaysEquivalent) {
+TEST(AdmissionBatch, ReleaseDowndatesCachesAndStaysEquivalent) {
+  // `release` downdates the two link caches in place; a second batch over
+  // the downdated caches must decide exactly as the reference controller.
   const auto first = random_stream(31, 150, 4);
   const auto second = random_stream(32, 150, 4);
 
@@ -169,7 +171,7 @@ TEST(AdmissionBatch, RandomizedReleaseChurnStaysEquivalent) {
   // every round the engine must remain decision-identical to the reference
   // controller — including re-admissions that land on IDs the releases
   // freed (the allocator reuses smallest-first) and on links whose caches
-  // were rebuilt by `release`.
+  // were downdated by `release`.
   AdmissionController controller(5, make_partitioner("ADPS"));
   AdmissionEngine engine(5, make_partitioner("ADPS"));
   Rng rng(77);

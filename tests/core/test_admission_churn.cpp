@@ -1,7 +1,7 @@
 /// Churn conformance for the release fast path: randomized
 /// admit/release/re-admit streams must leave every admission path — the
-/// reference `AdmissionController`, the batched `AdmissionEngine` (downdate
-/// and the release-as-invalidate baseline), and the sharded
+/// reference `AdmissionController`, the batched `AdmissionEngine`, the
+/// resident service (driven op by op) and the sharded
 /// `ParallelAdmissionEngine::process` — in bit-exact agreement: same
 /// accepts/rejects, same channel IDs, same partitions, same rejection
 /// reasons *and diagnostic strings*, same registries and stats. On star
@@ -20,6 +20,7 @@
 
 #include "common/random.hpp"
 #include "core/admission.hpp"
+#include "core/admission_backend.hpp"
 #include "core/multihop.hpp"
 #include "core/parallel_admission.hpp"
 #include "core/partitioner.hpp"
@@ -72,16 +73,20 @@ void expect_same_release(const ReleaseOutcome& expected,
 }
 
 /// Drives one randomized admit/release/re-admit stream through all four
-/// admission paths and asserts bit-exact agreement at every op.
+/// admission paths and asserts bit-exact agreement at every op: the
+/// controller, the batched engine and the resident service op by op, then
+/// the parallel engine over the whole stream at once.
 void expect_churn_equivalent(std::uint64_t seed, std::size_t op_count,
                              std::uint32_t nodes, const std::string& scheme,
                              double release_probability = 0.45) {
   Rng rng(seed);
   AdmissionController controller(nodes, make_partitioner(scheme));
-  AdmissionEngine downdating(nodes, make_partitioner(scheme));
-  AdmissionConfig rebuild_config;
-  rebuild_config.release = ReleasePolicy::kRebuild;
-  AdmissionEngine rebuilding(nodes, make_partitioner(scheme), rebuild_config);
+  AdmissionEngine engine(nodes, make_partitioner(scheme));
+  BackendConfig service_config;
+  service_config.threads = 2;
+  auto service = make_admission_backend(
+      "service", nodes, make_partitioner(scheme), service_config);
+  ASSERT_NE(service, nullptr);
 
   std::vector<ChannelOp> ops;       // replayed through process() afterwards
   std::vector<ReleaseOutcome> release_results;
@@ -100,20 +105,20 @@ void expect_churn_equivalent(std::uint64_t seed, std::size_t op_count,
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
       }
       const ReleaseOutcome expected = controller.release(id);
-      expect_same_release(expected, downdating.release(id),
-                          "op " + std::to_string(i) + " (downdate engine)");
-      expect_same_release(expected, rebuilding.release(id),
-                          "op " + std::to_string(i) + " (rebuild engine)");
+      expect_same_release(expected, engine.release(id),
+                          "op " + std::to_string(i) + " (batched engine)");
+      expect_same_release(expected, service->release(id),
+                          "op " + std::to_string(i) + " (service)");
       ops.push_back(ChannelOp::release(id));
       release_results.push_back(expected);
       continue;
     }
     const ChannelSpec spec = random_spec(rng, nodes);
     const auto expected = controller.request(spec);
-    expect_same_outcome(expected, downdating.admit(spec),
-                        "op " + std::to_string(i) + " (downdate engine)");
-    expect_same_outcome(expected, rebuilding.admit(spec),
-                        "op " + std::to_string(i) + " (rebuild engine)");
+    expect_same_outcome(expected, engine.admit(spec),
+                        "op " + std::to_string(i) + " (batched engine)");
+    expect_same_outcome(expected, service->admit(spec),
+                        "op " + std::to_string(i) + " (service)");
     if (expected.has_value()) {
       live.push_back(expected->id);
     }
@@ -141,13 +146,13 @@ void expect_churn_equivalent(std::uint64_t seed, std::size_t op_count,
 
   // End-of-stream agreement: registries and stats.
   for (const AdmissionStats* stats :
-       {&downdating.stats(), &rebuilding.stats(), &parallel.stats()}) {
+       {&engine.stats(), &service->stats(), &parallel.stats()}) {
     EXPECT_EQ(stats->accepted, controller.stats().accepted);
     EXPECT_EQ(stats->rejected, controller.stats().rejected);
     EXPECT_EQ(stats->released, controller.stats().released);
   }
   for (const NetworkState* state :
-       {&downdating.state(), &rebuilding.state(), &parallel.state()}) {
+       {&engine.state(), &service->state(), &parallel.state()}) {
     ASSERT_EQ(state->channel_count(), controller.state().channel_count());
     for (const auto& channel : controller.state().channels()) {
       const auto other = state->find_channel(channel.id);
